@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for the hot paths of the ParMAC reproduction:
 //! Hamming k-NN search, the per-point Z-step proximal operator, one SGD epoch
-//! of a hash SVM, one simulated W-step tick and the closed-form speedup model.
+//! of a hash SVM, one W-step machine visit, one simulated W-step tick and the
+//! closed-form speedup model.
 //!
 //! The Z-step and k-NN benches are *before/after shaped*: each optimised
 //! kernel is benchmarked next to the PR-1 reference it replaced (naive
@@ -12,7 +13,7 @@
 //! the bitwise-equivalence tests pin — so the baselines cannot drift from
 //! what the tests verify. Results are tracked in `BENCH_zstep.json`.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use parmac_cluster::{
     ClusterBackend, CostModel, PoolBackend, SimBackend, SimCluster, ThreadedBackend, ZUpdate,
 };
@@ -21,11 +22,13 @@ use parmac_core::SpeedupModel;
 use parmac_data::partition_equal;
 use parmac_hash::{HashFunction, LinearDecoder, LinearHash};
 use parmac_linalg::Mat;
-use parmac_optim::{LinearSvm, SgdConfig, Submodel};
+use parmac_optim::{LinearSvm, RidgeRegression, SgdConfig, Submodel};
 use parmac_retrieval::hamming_knn;
 use parmac_retrieval::search::{full_sort_knn, reference as search_reference};
 use rand::rngs::SmallRng;
+use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::time::{Duration, Instant};
 
 fn bench_hamming_search(c: &mut Criterion) {
     let mut rng = SmallRng::seed_from_u64(0);
@@ -262,12 +265,11 @@ fn bench_wstep_within_machine(c: &mut Criterion) {
     let mut rng = SmallRng::seed_from_u64(4);
     let x = Mat::random_normal(2000, 64, &mut rng);
     let update = |svm: &mut LinearSvm, _machine: usize, shard: &[usize]| {
-        let xs = x.select_rows(shard);
         let y: Vec<f64> = shard
             .iter()
             .map(|&i| if i % 2 == 0 { 1.0 } else { -1.0 })
             .collect();
-        svm.fit_batch(&xs, &y, 1);
+        svm.fit_indexed(&x, shard.iter().copied(), &y, 1);
     };
     let workers = std::thread::available_parallelism().map_or(1, |w| w.get());
     for w in [1usize, workers.max(2)] {
@@ -308,6 +310,82 @@ fn bench_svm_epoch(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+}
+
+/// Runs `routine` as the benchmark `name` and returns its mean ns per call
+/// over everything the harness ran (calibration included), or `None` when a
+/// command-line filter skipped it.
+fn timed(c: &mut Criterion, name: &str, mut routine: impl FnMut()) -> Option<f64> {
+    let mut calls = 0u64;
+    let mut total = Duration::ZERO;
+    c.bench_function(name, |b| {
+        let start = Instant::now();
+        b.iter(|| {
+            calls += 1;
+            routine()
+        });
+        total = start.elapsed();
+    });
+    (calls > 0).then(|| total.as_nanos() as f64 / calls as f64)
+}
+
+/// One W-step machine visit, before/after shaped: the indexed driver reading
+/// the shard in place against the copy-then-fit visit it replaced (gather the
+/// shuffled shard into a fresh matrix, then `fit_batch`), for an encoder-bit
+/// SVM over `X` rows and a decoder-row ridge over bit-packed codes. Same
+/// arithmetic, same run, so the printed ratio is what the zero-copy visit
+/// saves on this host.
+fn bench_wstep_visit_indexed_vs_copy(c: &mut Criterion) {
+    const N: usize = 1200;
+    let mut rng = SmallRng::seed_from_u64(7);
+    let x = Mat::random_normal(N, 128, &mut rng);
+    let codes = LinearHash::random(16, 128, &mut rng).encode(&x);
+    let mut order: Vec<usize> = (0..N).collect();
+    order.shuffle(&mut rng);
+    let labels: Vec<f64> = order
+        .iter()
+        .map(|&n| if codes.bit(n, 0) { 1.0 } else { -1.0 })
+        .collect();
+    let targets: Vec<f64> = order.iter().map(|&n| x[(n, 0)]).collect();
+    let config = SgdConfig::new().with_eta0(0.01);
+
+    let svm_indexed = timed(c, "W visit, SVM indexed in place (n=1200, D=128)", || {
+        let mut svm = LinearSvm::new(128, config);
+        svm.fit_indexed(&x, order.iter().copied(), &labels, 1);
+        black_box(svm.bias());
+    });
+    let svm_copy = timed(c, "W visit, SVM copy-then-fit (n=1200, D=128)", || {
+        let mut svm = LinearSvm::new(128, config);
+        svm.fit_batch(&x.select_rows(&order), &labels, 1);
+        black_box(svm.bias());
+    });
+    let ridge_indexed = timed(c, "W visit, ridge indexed in place (n=1200, L=16)", || {
+        let mut ridge = RidgeRegression::new(16, config);
+        ridge.fit_indexed(&codes, order.iter().copied(), &targets, 1);
+        black_box(ridge.bias());
+    });
+    let ridge_copy = timed(c, "W visit, ridge copy-then-fit (n=1200, L=16)", || {
+        let mut zs = Mat::zeros(order.len(), codes.n_bits());
+        for (row, &n) in order.iter().enumerate() {
+            zs.set_row(row, &codes.to_f64_row(n));
+        }
+        let mut ridge = RidgeRegression::new(16, config);
+        ridge.fit_batch(&zs, &targets, 1);
+        black_box(ridge.bias());
+    });
+    for (kind, indexed, copy) in [
+        ("SVM", svm_indexed, svm_copy),
+        ("ridge", ridge_indexed, ridge_copy),
+    ] {
+        if let (Some(indexed), Some(copy)) = (indexed, copy) {
+            println!(
+                "W visit, {kind}: copy-then-fit / indexed = {:.2}x  ({:.1} vs {:.1} ns/point)",
+                copy / indexed,
+                copy / N as f64,
+                indexed / N as f64
+            );
+        }
+    }
 }
 
 fn bench_ring_w_step(c: &mut Criterion) {
@@ -378,6 +456,7 @@ criterion_group!(
     bench_zstep_pool_vs_threaded_vs_serial,
     bench_wstep_within_machine,
     bench_svm_epoch,
+    bench_wstep_visit_indexed_vs_copy,
     bench_ring_w_step,
     bench_speedup_model,
     bench_server_query_routing

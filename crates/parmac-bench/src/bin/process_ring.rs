@@ -1,5 +1,6 @@
-//! Cross-process ring benchmark and fault-injection gate
-//! (`BENCH_process_ring.json`).
+//! Cross-process ring benchmark and fault-injection gate (numbers are
+//! printed, not recorded in a ledger file; `perf`'s `iter_wall_s.process`
+//! rows are the recorded cross-process timings).
 //!
 //! Trains the same binary autoencoder on the [`SimBackend`] reference and on
 //! the [`ProcessBackend`] — real `parmac-machined` OS processes wired into a

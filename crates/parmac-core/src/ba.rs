@@ -89,8 +89,13 @@ impl BinaryAutoencoder {
 
     /// The nested objective `E_BA` of eq. (1): `Σ‖x_n − f(h(x_n))‖²`.
     pub fn ba_error(&self, x: &Mat) -> f64 {
-        let codes = self.encode(x);
-        self.decoder.reconstruction_error(&codes, x)
+        self.ba_error_given(x, &self.encode(x))
+    }
+
+    /// [`ba_error`](Self::ba_error) for a caller that already holds
+    /// `hx = h(X)`, so one encoding of `X` can serve several objectives.
+    pub fn ba_error_given(&self, x: &Mat, hx: &BinaryCodes) -> f64 {
+        self.decoder.reconstruction_error(hx, x)
     }
 
     /// Mean (per point, per dimension) reconstruction error, handy for
@@ -113,11 +118,26 @@ impl BinaryAutoencoder {
     ///
     /// Panics if `z.len() != x.rows()` or the code widths differ from `L`.
     pub fn quadratic_penalty(&self, x: &Mat, z: &BinaryCodes, mu: f64) -> f64 {
+        self.quadratic_penalty_given(x, z, &self.encode(x), mu)
+    }
+
+    /// [`quadratic_penalty`](Self::quadratic_penalty) for a caller that
+    /// already holds `hx = h(X)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `z.len() != x.rows()` or the code widths differ from `L`.
+    pub fn quadratic_penalty_given(
+        &self,
+        x: &Mat,
+        z: &BinaryCodes,
+        hx: &BinaryCodes,
+        mu: f64,
+    ) -> f64 {
         assert_eq!(z.len(), x.rows(), "one code per data point required");
         assert_eq!(z.n_bits(), self.n_bits(), "code width mismatch");
         let reconstruction = self.decoder.reconstruction_error(z, x);
-        let hx = self.encode(x);
-        let constraint = z.total_differing_bits(&hx) as f64;
+        let constraint = z.total_differing_bits(hx) as f64;
         reconstruction + mu * constraint
     }
 

@@ -19,7 +19,7 @@ use crate::zstep::{self, ZStepProblem};
 use parmac_hash::{BinaryCodes, HashFunction, LinearDecoder, LinearHash, TpcaHash};
 use parmac_linalg::Mat;
 use parmac_optim::sgd::{calibrate_eta0, default_eta0_grid};
-use parmac_optim::{LinearSvm, RidgeRegression, SgdConfig, Submodel};
+use parmac_optim::{LinearSvm, RidgeRegression, SgdConfig};
 use parmac_retrieval::{hamming_knn, precision as retrieval_precision};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -35,15 +35,13 @@ pub fn calibrate_encoder_sgd(config: SgdConfig, x: &Mat, codes: &BinaryCodes) ->
     if n == 0 {
         return config;
     }
-    let idx: Vec<usize> = (0..n).collect();
-    let xs = x.select_rows(&idx);
     let targets: Vec<f64> = (0..n)
         .map(|i| if codes.bit(i, 0) { 1.0 } else { -1.0 })
         .collect();
     let eta = calibrate_eta0(&default_eta0_grid(), |eta| {
         let mut svm = LinearSvm::new(x.cols(), config.with_eta0(eta));
-        svm.fit_batch(&xs, &targets, 1);
-        svm.objective(&xs, &targets)
+        svm.fit_indexed(x, 0..n, &targets, 1);
+        svm.objective_indexed(x, 0..n, &targets)
     });
     config.with_eta0(eta)
 }
@@ -55,16 +53,11 @@ pub fn calibrate_decoder_sgd(config: SgdConfig, codes: &BinaryCodes, x: &Mat) ->
     if n == 0 {
         return config;
     }
-    let mut zs = Mat::zeros(n, codes.n_bits());
-    for i in 0..n {
-        let row = codes.to_f64_row(i);
-        zs.set_row(i, &row);
-    }
     let targets: Vec<f64> = (0..n).map(|i| x[(i, 0)]).collect();
     let eta = calibrate_eta0(&default_eta0_grid(), |eta| {
         let mut r = RidgeRegression::new(codes.n_bits(), config.with_eta0(eta));
-        r.fit_batch(&zs, &targets, 1);
-        r.objective(&zs, &targets)
+        r.fit_indexed(codes, 0..n, &targets, 1);
+        r.objective_indexed(codes, 0..n, &targets)
     });
     config.with_eta0(eta)
 }
@@ -250,12 +243,15 @@ impl MacTrainer {
         // lint: allow(wallclock-determinism) — report-only wall-clock for the learning curve; never feeds training
         let start = Instant::now();
         let mut curve = LearningCurve::new();
-        let initial_ba_error = self.model.ba_error(x);
+        // h(X) is computed once per iteration and shared by E_Q, E_BA and the
+        // stopping criterion.
+        let hx = self.model.encode(x);
+        let initial_ba_error = self.model.ba_error_given(x, &hx);
         let initial_precision = eval.map(|e| e.precision_of(&self.model));
         curve.push(IterationRecord {
             iteration: 0,
             mu: 0.0,
-            quadratic_penalty: self.model.quadratic_penalty(x, &self.codes, 0.0),
+            quadratic_penalty: self.model.quadratic_penalty_given(x, &self.codes, &hx, 0.0),
             ba_error: initial_ba_error,
             precision: initial_precision,
             simulated_time: 0.0,
@@ -274,12 +270,13 @@ impl MacTrainer {
             let changed = self.z_step(x, mu);
             iterations_run = i + 1;
 
+            let hx = self.model.encode(x);
             let precision = eval.map(|e| e.precision_of(&self.model));
             curve.push(IterationRecord {
                 iteration: iterations_run,
                 mu,
-                quadratic_penalty: self.model.quadratic_penalty(x, &self.codes, mu),
-                ba_error: self.model.ba_error(x),
+                quadratic_penalty: self.model.quadratic_penalty_given(x, &self.codes, &hx, mu),
+                ba_error: self.model.ba_error_given(x, &hx),
                 precision,
                 simulated_time: 0.0,
                 wall_clock_secs: start.elapsed().as_secs_f64(),
@@ -299,12 +296,9 @@ impl MacTrainer {
             }
 
             // Stopping criterion of §3.1: Z did not change and Z = h(X).
-            if !changed {
-                let hx = self.model.encode(x);
-                if self.codes.total_differing_bits(&hx) == 0 {
-                    stopped_early = iterations_run < schedule.len();
-                    break;
-                }
+            if !changed && self.codes.total_differing_bits(&hx) == 0 {
+                stopped_early = iterations_run < schedule.len();
+                break;
             }
         }
 
@@ -337,7 +331,6 @@ impl MacTrainer {
     /// One W step: fit the `L` hash SVMs on `(X, Z)` and the decoder on
     /// `(Z, X)` (exactly or by SGD, per the configuration).
     pub fn w_step(&mut self, x: &Mat) {
-        let z_mat = self.codes.to_matrix();
         // Encoder: L binary SVMs predicting each bit from X, with the step
         // size calibrated on a prefix of the data (§8.1).
         let encoder_sgd = calibrate_encoder_sgd(self.config.sgd, x, &self.codes);
@@ -358,7 +351,7 @@ impl MacTrainer {
         // Decoder: D least-squares problems from Z to X.
         if self.config.exact_w_step {
             self.model.set_decoder(LinearDecoder::fit_least_squares(
-                &z_mat,
+                &self.codes.to_matrix(),
                 x,
                 self.config.decoder_ridge,
             ));
@@ -367,7 +360,7 @@ impl MacTrainer {
             let mut rows = self.model.decoder().to_ridge_rows(decoder_sgd);
             for (out, row) in rows.iter_mut().enumerate() {
                 let targets: Vec<f64> = x.col(out);
-                row.fit_batch(&z_mat, &targets, self.config.epochs);
+                row.fit_indexed(&self.codes, 0..x.rows(), &targets, self.config.epochs);
             }
             self.model
                 .set_decoder(LinearDecoder::from_ridge_rows(&rows));

@@ -287,11 +287,7 @@ impl NestedMac {
     pub fn w_step(&mut self, x: &Mat, y: &Mat) {
         let k_hidden = self.config.n_hidden_layers();
         for k in 0..k_hidden {
-            let input = if k == 0 {
-                x.clone()
-            } else {
-                self.z[k - 1].clone()
-            };
+            let input = if k == 0 { x } else { &self.z[k - 1] };
             let width = self.config.layer_sizes[k + 1];
             for unit in 0..width {
                 let targets: Vec<f64> = self.z[k].col(unit);
@@ -299,7 +295,7 @@ impl NestedMac {
                 let mut w = self.model.weights[k].row(unit).to_vec();
                 w.push(self.model.biases[k][unit]);
                 lr.set_weights(&w);
-                lr.fit_batch(&input, &targets, self.config.w_epochs);
+                lr.fit_batch(input, &targets, self.config.w_epochs);
                 let trained = Submodel::weights(&lr);
                 self.model.weights[k].set_row(unit, &trained[..input.cols()]);
                 self.model.biases[k][unit] = trained[input.cols()];
@@ -307,9 +303,9 @@ impl NestedMac {
         }
         // Output layer: ridge regression from the last hidden coordinates.
         let input = if k_hidden == 0 {
-            x.clone()
+            x
         } else {
-            self.z[k_hidden - 1].clone()
+            &self.z[k_hidden - 1]
         };
         let augmented = input.with_bias_column();
         let w = solve_ridge(&augmented, y, 1e-6).expect("output ridge fit");

@@ -199,12 +199,15 @@ impl<B: ClusterBackend> ParMacTrainer<B> {
         let mut z_steps = Vec::new();
         let mut simulated_time = 0.0;
 
-        let initial_ba_error = self.model.ba_error(x);
+        // h(X) is computed once per iteration and shared by E_Q, E_BA and the
+        // stopping criterion.
+        let hx = self.model.encode(x);
+        let initial_ba_error = self.model.ba_error_given(x, &hx);
         let initial_precision = eval.map(|e| e.precision_of(&self.model));
         curve.push(IterationRecord {
             iteration: 0,
             mu: 0.0,
-            quadratic_penalty: self.model.quadratic_penalty(x, &self.codes, 0.0),
+            quadratic_penalty: self.model.quadratic_penalty_given(x, &self.codes, &hx, 0.0),
             ba_error: initial_ba_error,
             precision: initial_precision,
             simulated_time: 0.0,
@@ -231,12 +234,13 @@ impl<B: ClusterBackend> ParMacTrainer<B> {
             z_steps.push(z_stats);
             iterations_run = i + 1;
 
+            let hx = self.model.encode(x);
             let precision = eval.map(|e| e.precision_of(&self.model));
             curve.push(IterationRecord {
                 iteration: iterations_run,
                 mu,
-                quadratic_penalty: self.model.quadratic_penalty(x, &self.codes, mu),
-                ba_error: self.model.ba_error(x),
+                quadratic_penalty: self.model.quadratic_penalty_given(x, &self.codes, &hx, mu),
+                ba_error: self.model.ba_error_given(x, &hx),
                 precision,
                 simulated_time,
                 wall_clock_secs: start.elapsed().as_secs_f64(),
@@ -255,12 +259,9 @@ impl<B: ClusterBackend> ParMacTrainer<B> {
                 }
             }
 
-            if !changed {
-                let hx = self.model.encode(x);
-                if self.codes.total_differing_bits(&hx) == 0 {
-                    stopped_early = iterations_run < schedule.len();
-                    break;
-                }
+            if !changed && self.codes.total_differing_bits(&hx) == 0 {
+                stopped_early = iterations_run < schedule.len();
+                break;
             }
         }
 
@@ -561,30 +562,31 @@ fn visit_update(
         BaSubmodel::Hash { bit, .. } => *bit as u64,
         BaSubmodel::DecoderRow { out, .. } => 1000 + *out as u64,
     };
-    let mut order: Vec<usize> = shard.to_vec();
-    if shuffle {
+    let mut shuffled;
+    let order: &[usize] = if shuffle {
         let mut rng = SmallRng::seed_from_u64(
             seed ^ (machine as u64).wrapping_mul(0x517c_c1b7_2722_0a95) ^ sub_id,
         );
-        order.shuffle(&mut rng);
-    }
+        shuffled = shard.to_vec();
+        shuffled.shuffle(&mut rng);
+        &shuffled
+    } else {
+        shard
+    };
+    // The submodel reads the shard in place, in visit order: X rows are
+    // borrowed and codes decoded one at a time, so a visit's allocations do
+    // not grow with the shard.
     match sub {
         BaSubmodel::Hash { bit, svm } => {
-            let xs = x.select_rows(&order);
             let targets: Vec<f64> = order
                 .iter()
                 .map(|&n| if codes.bit(n, *bit) { 1.0 } else { -1.0 })
                 .collect();
-            svm.fit_batch(&xs, &targets, passes);
+            svm.fit_indexed(x, order.iter().copied(), &targets, passes);
         }
         BaSubmodel::DecoderRow { out, ridge } => {
-            let mut zs = Mat::zeros(order.len(), codes.n_bits());
-            for (row, &n) in order.iter().enumerate() {
-                let z = codes.to_f64_row(n);
-                zs.set_row(row, &z);
-            }
             let targets: Vec<f64> = order.iter().map(|&n| x[(n, *out)]).collect();
-            ridge.fit_batch(&zs, &targets, passes);
+            ridge.fit_indexed(codes, order.iter().copied(), &targets, passes);
         }
     }
 }

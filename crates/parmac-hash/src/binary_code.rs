@@ -7,6 +7,7 @@
 //! access and popcount-based Hamming distances.
 
 use parmac_linalg::Mat;
+use parmac_optim::RowSource;
 use serde::{Deserialize, Serialize};
 
 /// A collection of `N` binary codes of `L` bits each, bit-packed into `u64`
@@ -161,20 +162,33 @@ impl BinaryCodes {
         self.hamming(i, self, j)
     }
 
-    /// Converts code `i` to a 0/1 `f64` vector (the representation the decoder
-    /// consumes).
+    /// Decodes code `i` from its packed words into `out` as 0/1 floats (the
+    /// representation the decoder consumes), allocating nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != n_bits()` or `i` is out of range.
+    pub fn write_f64_row(&self, i: usize, out: &mut [f64]) {
+        assert_eq!(out.len(), self.n_bits, "write_f64_row: length mismatch");
+        for (chunk, &word) in out.chunks_mut(64).zip(self.code_words(i)) {
+            for (b, v) in chunk.iter_mut().enumerate() {
+                *v = ((word >> b) & 1) as f64;
+            }
+        }
+    }
+
+    /// Converts code `i` to a 0/1 `f64` vector.
     pub fn to_f64_row(&self, i: usize) -> Vec<f64> {
-        (0..self.n_bits)
-            .map(|b| if self.bit(i, b) { 1.0 } else { 0.0 })
-            .collect()
+        let mut row = vec![0.0; self.n_bits];
+        self.write_f64_row(i, &mut row);
+        row
     }
 
     /// Converts all codes to an `N × L` 0/1 matrix.
     pub fn to_matrix(&self) -> Mat {
         let mut m = Mat::zeros(self.len(), self.n_bits);
         for i in 0..self.len() {
-            let row = self.to_f64_row(i);
-            m.set_row(i, &row);
+            self.write_f64_row(i, m.row_mut(i));
         }
         m
     }
@@ -296,6 +310,19 @@ impl BinaryCodes {
     }
 }
 
+/// A W-step decoder row trains on the codes where they lie: each visited
+/// code is decoded into the driver's scratch row.
+impl RowSource for BinaryCodes {
+    fn dim(&self) -> usize {
+        self.n_bits
+    }
+
+    fn row<'a>(&'a self, i: usize, scratch: &'a mut [f64]) -> &'a [f64] {
+        self.write_f64_row(i, scratch);
+        scratch
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,6 +362,21 @@ mod tests {
         assert_eq!(c.to_matrix(), m);
         assert_eq!(c.len(), 2);
         assert_eq!(c.n_bits(), 3);
+    }
+
+    #[test]
+    fn write_f64_row_decodes_every_bit_across_word_boundaries() {
+        let mut c = BinaryCodes::zeros(2, 130); // three words per code
+        for b in [0, 1, 63, 64, 100, 127, 128, 129] {
+            c.set_bit(1, b, true);
+        }
+        let mut row = vec![f64::NAN; 130];
+        c.write_f64_row(1, &mut row);
+        for (b, &v) in row.iter().enumerate() {
+            assert_eq!(v, if c.bit(1, b) { 1.0 } else { 0.0 }, "bit {b}");
+        }
+        assert_eq!(c.to_f64_row(1), row);
+        assert_eq!(c.to_matrix().row(1), &row[..]);
     }
 
     #[test]

@@ -114,25 +114,30 @@ impl LinearDecoder {
         &self.biases
     }
 
+    /// The `D` outputs `w_dᵀz + c_d` for one 0/1 code vector.
+    fn outputs<'a>(&'a self, z: &'a [f64]) -> impl Iterator<Item = f64> + 'a {
+        assert_eq!(z.len(), self.n_bits(), "code length mismatch");
+        (0..self.dim_out()).map(move |d| dot(self.weights.row(d), z) + self.biases[d])
+    }
+
     /// Decodes a single 0/1 code vector.
     ///
     /// # Panics
     ///
     /// Panics if `z.len() != n_bits()`.
     pub fn decode_one(&self, z: &[f64]) -> Vec<f64> {
-        assert_eq!(z.len(), self.n_bits(), "code length mismatch");
-        (0..self.dim_out())
-            .map(|d| dot(self.weights.row(d), z) + self.biases[d])
-            .collect()
+        self.outputs(z).collect()
     }
 
     /// Decodes every code in `codes` into an `N × D` matrix.
     pub fn decode(&self, codes: &BinaryCodes) -> Mat {
         let mut out = Mat::zeros(codes.len(), self.dim_out());
+        let mut z = vec![0.0; codes.n_bits()];
         for i in 0..codes.len() {
-            let z = codes.to_f64_row(i);
-            let x = self.decode_one(&z);
-            out.set_row(i, &x);
+            codes.write_f64_row(i, &mut z);
+            for (o, v) in out.row_mut(i).iter_mut().zip(self.outputs(&z)) {
+                *o = v;
+            }
         }
         out
     }
@@ -146,11 +151,11 @@ impl LinearDecoder {
     pub fn reconstruction_error(&self, codes: &BinaryCodes, x: &Mat) -> f64 {
         assert_eq!(codes.len(), x.rows(), "code/data count mismatch");
         let mut err = 0.0;
+        let mut z = vec![0.0; codes.n_bits()];
         for i in 0..codes.len() {
-            let z = codes.to_f64_row(i);
-            let rec = self.decode_one(&z);
-            err += rec
-                .iter()
+            codes.write_f64_row(i, &mut z);
+            err += self
+                .outputs(&z)
                 .zip(x.row(i))
                 .map(|(a, b)| (a - b) * (a - b))
                 .sum::<f64>();

@@ -15,6 +15,8 @@
 //! * [`LogisticRegression`] — the per-unit submodel of the K-layer MAC.
 //! * [`RbfFeatureMap`] — the Gaussian RBF expansion used for the nonlinear
 //!   hash function of §8.4 (fixed random centres, trainable output weights).
+//! * [`RowSource`] and the `fit_indexed` methods — the one minibatch-SGD
+//!   driver, which reads the rows a submodel visits in place.
 //! * [`Submodel`] — the trait ParMAC's W step uses to update and serialise
 //!   submodels generically.
 
@@ -22,6 +24,7 @@
 
 pub mod kernel;
 pub mod logistic;
+pub mod minibatch;
 pub mod ridge;
 pub mod sgd;
 pub mod submodel;
@@ -29,6 +32,7 @@ pub mod svm;
 
 pub use kernel::RbfFeatureMap;
 pub use logistic::LogisticRegression;
+pub use minibatch::RowSource;
 pub use ridge::RidgeRegression;
 pub use sgd::{SgdConfig, StepSizeSchedule};
 pub use submodel::Submodel;

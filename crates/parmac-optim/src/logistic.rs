@@ -2,6 +2,7 @@
 //! (§3.2: "each a single-layer, single-unit submodel that can be solved with
 //! existing algorithms (logistic regression)").
 
+use crate::minibatch::{self, LinearSgd, LinearState, RowSource};
 use crate::sgd::SgdConfig;
 use crate::submodel::Submodel;
 use parmac_linalg::vector::dot;
@@ -55,6 +56,11 @@ impl LogisticRegression {
         self.bias
     }
 
+    /// Number of SGD updates performed so far.
+    pub fn updates(&self) -> u64 {
+        self.updates
+    }
+
     /// Activation `σ(wᵀx + b)` for one point.
     ///
     /// # Panics
@@ -71,19 +77,24 @@ impl LogisticRegression {
 
     /// Runs `epochs` passes of minibatch SGD on `(x, targets)`.
     pub fn fit_batch(&mut self, x: &Mat, targets: &[f64], epochs: usize) {
-        assert_eq!(x.rows(), targets.len(), "fit_batch: target count mismatch");
-        let bs = self.config.minibatch_size.max(1);
-        for _ in 0..epochs {
-            let mut start = 0;
-            while start < x.rows() {
-                let end = (start + bs).min(x.rows());
-                let idx: Vec<usize> = (start..end).collect();
-                let xb = x.select_rows(&idx);
-                let step = self.config.schedule.step_size(self.updates);
-                self.sgd_step(&xb, &targets[start..end], step);
-                start = end;
-            }
-        }
+        self.fit_indexed(x, 0..x.rows(), targets, epochs);
+    }
+
+    /// Runs `passes` passes of minibatch SGD over the rows `order` of
+    /// `source`, read in place; `targets[k]` is the target of row `order[k]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `order` and `targets` differ in length or the row length is
+    /// not the input dimensionality.
+    pub fn fit_indexed<S: RowSource>(
+        &mut self,
+        source: &S,
+        order: impl ExactSizeIterator<Item = usize> + Clone,
+        targets: &[f64],
+        passes: usize,
+    ) {
+        minibatch::sgd_passes(self, source, order, targets, passes);
     }
 }
 
@@ -93,24 +104,7 @@ impl Submodel for LogisticRegression {
     }
 
     fn sgd_step(&mut self, x: &Mat, targets: &[f64], step: f64) {
-        assert_eq!(x.rows(), targets.len(), "sgd_step: target count mismatch");
-        assert_eq!(x.cols(), self.weights.len(), "sgd_step: dim mismatch");
-        let n = x.rows().max(1) as f64;
-        let mut grad_w = vec![0.0; self.weights.len()];
-        let mut grad_b = 0.0;
-        for (i, &t) in targets.iter().enumerate() {
-            let row = x.row(i);
-            let err = self.activate(row) - t;
-            for (g, &xi) in grad_w.iter_mut().zip(row) {
-                *g += err * xi / n;
-            }
-            grad_b += err / n;
-        }
-        for (w, g) in self.weights.iter_mut().zip(&grad_w) {
-            *w -= step * (self.lambda * *w + g);
-        }
-        self.bias -= step * grad_b;
-        self.updates += 1;
+        minibatch::dense_step(self, x, targets, step);
     }
 
     fn objective(&self, x: &Mat, targets: &[f64]) -> f64 {
@@ -148,6 +142,25 @@ impl Submodel for LogisticRegression {
         let (w, b) = weights.split_at(self.weights.len());
         self.weights.copy_from_slice(w);
         self.bias = b[0];
+    }
+}
+
+impl LinearSgd for LogisticRegression {
+    fn accumulate(&self, row: &[f64], t: f64, n: f64, grad_w: &mut [f64], grad_b: &mut f64) {
+        minibatch::accumulate_residual(self.activate(row) - t, row, n, grad_w, grad_b);
+    }
+
+    fn state_mut(&mut self) -> LinearState<'_> {
+        LinearState {
+            weights: &mut self.weights,
+            bias: &mut self.bias,
+            lambda: self.lambda,
+            updates: &mut self.updates,
+        }
+    }
+
+    fn sgd_config(&self) -> SgdConfig {
+        self.config
     }
 }
 

@@ -2,6 +2,7 @@
 //! autoencoder's linear decoder (§3.1: "for each of the D linear decoders in
 //! f ... each a linear least-squares problem").
 
+use crate::minibatch::{self, LinearSgd, LinearState, RowSource};
 use crate::sgd::SgdConfig;
 use crate::submodel::Submodel;
 use parmac_linalg::cholesky::solve_ridge;
@@ -59,6 +60,11 @@ impl RidgeRegression {
         self.bias
     }
 
+    /// Number of SGD updates performed so far.
+    pub fn updates(&self) -> u64 {
+        self.updates
+    }
+
     /// Prediction for a single point.
     ///
     /// # Panics
@@ -90,19 +96,40 @@ impl RidgeRegression {
 
     /// Runs `epochs` passes of minibatch SGD over `(x, y)`.
     pub fn fit_batch(&mut self, x: &Mat, y: &[f64], epochs: usize) {
-        assert_eq!(x.rows(), y.len(), "fit_batch: target count mismatch");
-        let bs = self.config.minibatch_size.max(1);
-        for _ in 0..epochs {
-            let mut start = 0;
-            while start < x.rows() {
-                let end = (start + bs).min(x.rows());
-                let idx: Vec<usize> = (start..end).collect();
-                let xb = x.select_rows(&idx);
-                let step = self.config.schedule.step_size(self.updates);
-                self.sgd_step(&xb, &y[start..end], step);
-                start = end;
-            }
-        }
+        self.fit_indexed(x, 0..x.rows(), y, epochs);
+    }
+
+    /// Runs `passes` passes of minibatch SGD over the rows `order` of
+    /// `source`, read in place; `y[k]` is the target of row `order[k]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `order` and `y` differ in length or the row length is not
+    /// the input dimensionality.
+    pub fn fit_indexed<S: RowSource>(
+        &mut self,
+        source: &S,
+        order: impl ExactSizeIterator<Item = usize> + Clone,
+        y: &[f64],
+        passes: usize,
+    ) {
+        minibatch::sgd_passes(self, source, order, y, passes);
+    }
+
+    /// The regularised objective on the rows `order` of `source` with targets
+    /// `y`, read in place ([`Submodel::objective`] without the gathered copy).
+    pub fn objective_indexed<S: RowSource>(
+        &self,
+        source: &S,
+        order: impl ExactSizeIterator<Item = usize>,
+        y: &[f64],
+    ) -> f64 {
+        let n = y.len().max(1) as f64;
+        let sq = minibatch::loss_sum(source, order, y, |row, y| {
+            let e = self.predict_one(row) - y;
+            e * e
+        }) / (2.0 * n);
+        sq + 0.5 * self.lambda * dot(&self.weights, &self.weights)
     }
 
     /// Mean squared error on `(x, y)`.
@@ -125,39 +152,11 @@ impl Submodel for RidgeRegression {
     }
 
     fn sgd_step(&mut self, x: &Mat, targets: &[f64], step: f64) {
-        assert_eq!(x.rows(), targets.len(), "sgd_step: target count mismatch");
-        assert_eq!(x.cols(), self.weights.len(), "sgd_step: dim mismatch");
-        let n = x.rows().max(1) as f64;
-        let mut grad_w = vec![0.0; self.weights.len()];
-        let mut grad_b = 0.0;
-        for (i, &y) in targets.iter().enumerate() {
-            let row = x.row(i);
-            let err = self.predict_one(row) - y;
-            for (g, &xi) in grad_w.iter_mut().zip(row) {
-                *g += err * xi / n;
-            }
-            grad_b += err / n;
-        }
-        for (w, g) in self.weights.iter_mut().zip(&grad_w) {
-            *w -= step * (self.lambda * *w + g);
-        }
-        self.bias -= step * grad_b;
-        self.updates += 1;
+        minibatch::dense_step(self, x, targets, step);
     }
 
     fn objective(&self, x: &Mat, targets: &[f64]) -> f64 {
-        assert_eq!(x.rows(), targets.len());
-        let n = x.rows().max(1) as f64;
-        let sq: f64 = targets
-            .iter()
-            .enumerate()
-            .map(|(i, &y)| {
-                let e = self.predict_one(x.row(i)) - y;
-                e * e
-            })
-            .sum::<f64>()
-            / (2.0 * n);
-        sq + 0.5 * self.lambda * dot(&self.weights, &self.weights)
+        self.objective_indexed(x, 0..x.rows(), targets)
     }
 
     fn predict(&self, x: &Mat) -> Vec<f64> {
@@ -179,6 +178,25 @@ impl Submodel for RidgeRegression {
         let (w, b) = weights.split_at(self.weights.len());
         self.weights.copy_from_slice(w);
         self.bias = b[0];
+    }
+}
+
+impl LinearSgd for RidgeRegression {
+    fn accumulate(&self, row: &[f64], y: f64, n: f64, grad_w: &mut [f64], grad_b: &mut f64) {
+        minibatch::accumulate_residual(self.predict_one(row) - y, row, n, grad_w, grad_b);
+    }
+
+    fn state_mut(&mut self) -> LinearState<'_> {
+        LinearState {
+            weights: &mut self.weights,
+            bias: &mut self.bias,
+            lambda: self.lambda,
+            updates: &mut self.updates,
+        }
+    }
+
+    fn sgd_config(&self) -> SgdConfig {
+        self.config
     }
 }
 

@@ -7,16 +7,25 @@
 //! that possible: stochastic updates on a minibatch, an objective for
 //! monitoring/step-size calibration, prediction, and weight (de)serialisation
 //! so the parameters — and only the parameters — can be communicated.
+//!
+//! The trait's methods take a minibatch as a dense matrix, which suits tests,
+//! references and generic code. A machine visit in the W step does not build
+//! one: the three linear submodels' `fit_indexed` runs the same step over row
+//! indices of the resident shard, read in place (see [`crate::minibatch`]).
 
 use parmac_linalg::Mat;
 
 /// A single-layer submodel trainable by SGD inside ParMAC's W step.
 ///
-/// Implementations are supplied minibatches as a dense matrix `x` (one row per
-/// point, already in the submodel's input space) and one scalar target per
-/// row. This covers all the submodels the paper uses: binary targets (±1) for
-/// the SVM hash functions, real targets for the decoder rows, and 0/1 targets
-/// for logistic units.
+/// A minibatch is a dense matrix `x` (one row per point, already in the
+/// submodel's input space) and one scalar target per row. This covers all the
+/// submodels the paper uses: binary targets (±1) for the SVM hash functions,
+/// real targets for the decoder rows, and 0/1 targets for logistic units.
+/// [`LinearSvm`](crate::LinearSvm), [`RidgeRegression`](crate::RidgeRegression)
+/// and [`LogisticRegression`](crate::LogisticRegression) implement
+/// [`sgd_step`](Submodel::sgd_step) with the very step their `fit_indexed`
+/// takes over rows read in place from a [`RowSource`](crate::RowSource), so
+/// the two agree bit for bit; the W step uses the latter and gathers nothing.
 pub trait Submodel: Send {
     /// Input dimensionality (including the bias component, if the model
     /// augments its input).

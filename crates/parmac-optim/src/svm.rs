@@ -2,6 +2,7 @@
 //! function submodel of the binary autoencoder (§3.1: "for each of the L
 //! single-bit hash functions ... each solvable by fitting a linear SVM").
 
+use crate::minibatch::{self, LinearSgd, LinearState, RowSource};
 use crate::sgd::SgdConfig;
 use crate::submodel::Submodel;
 use parmac_linalg::vector::dot;
@@ -92,20 +93,40 @@ impl LinearSvm {
     /// Runs `epochs` full passes of minibatch SGD over `(x, y)` with the
     /// configured schedule. Labels must be ±1.
     pub fn fit_batch(&mut self, x: &Mat, y: &[f64], epochs: usize) {
-        assert_eq!(x.rows(), y.len(), "fit_batch: label count mismatch");
-        let bs = self.config.minibatch_size.max(1);
-        for _ in 0..epochs {
-            let mut start = 0;
-            while start < x.rows() {
-                let end = (start + bs).min(x.rows());
-                let idx: Vec<usize> = (start..end).collect();
-                let xb = x.select_rows(&idx);
-                let yb = &y[start..end];
-                let step = self.config.schedule.step_size(self.updates);
-                self.sgd_step(&xb, yb, step);
-                start = end;
-            }
-        }
+        self.fit_indexed(x, 0..x.rows(), y, epochs);
+    }
+
+    /// Runs `passes` passes of minibatch SGD over the rows `order` of
+    /// `source`, read in place; `y[k]` is the ±1 label of row `order[k]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `order` and `y` differ in length or the row length is not
+    /// the input dimensionality.
+    pub fn fit_indexed<S: RowSource>(
+        &mut self,
+        source: &S,
+        order: impl ExactSizeIterator<Item = usize> + Clone,
+        y: &[f64],
+        passes: usize,
+    ) {
+        minibatch::sgd_passes(self, source, order, y, passes);
+    }
+
+    /// The regularised objective on the rows `order` of `source` with labels
+    /// `y`, read in place ([`Submodel::objective`] without the gathered copy).
+    pub fn objective_indexed<S: RowSource>(
+        &self,
+        source: &S,
+        order: impl ExactSizeIterator<Item = usize>,
+        y: &[f64],
+    ) -> f64 {
+        let n = y.len().max(1) as f64;
+        let hinge = minibatch::loss_sum(source, order, y, |row, y| {
+            (1.0 - y * self.decision(row)).max(0.0)
+        }) / n;
+        let reg = 0.5 * self.lambda * dot(&self.weights, &self.weights);
+        hinge + reg
     }
 
     /// Hinge-loss accuracy (fraction of correctly classified points).
@@ -129,40 +150,11 @@ impl Submodel for LinearSvm {
     }
 
     fn sgd_step(&mut self, x: &Mat, targets: &[f64], step: f64) {
-        assert_eq!(x.rows(), targets.len(), "sgd_step: label count mismatch");
-        assert_eq!(x.cols(), self.weights.len(), "sgd_step: dim mismatch");
-        let n = x.rows().max(1) as f64;
-        // Subgradient of λ/2‖w‖² + (1/n)Σ hinge.
-        let mut grad_w = vec![0.0; self.weights.len()];
-        let mut grad_b = 0.0;
-        for (i, &y) in targets.iter().enumerate() {
-            let row = x.row(i);
-            let margin = y * self.decision(row);
-            if margin < 1.0 {
-                for (g, &xi) in grad_w.iter_mut().zip(row) {
-                    *g -= y * xi / n;
-                }
-                grad_b -= y / n;
-            }
-        }
-        for (w, g) in self.weights.iter_mut().zip(&grad_w) {
-            *w -= step * (self.lambda * *w + g);
-        }
-        self.bias -= step * grad_b;
-        self.updates += 1;
+        minibatch::dense_step(self, x, targets, step);
     }
 
     fn objective(&self, x: &Mat, targets: &[f64]) -> f64 {
-        assert_eq!(x.rows(), targets.len());
-        let n = x.rows().max(1) as f64;
-        let hinge: f64 = targets
-            .iter()
-            .enumerate()
-            .map(|(i, &y)| (1.0 - y * self.decision(x.row(i))).max(0.0))
-            .sum::<f64>()
-            / n;
-        let reg = 0.5 * self.lambda * dot(&self.weights, &self.weights);
-        hinge + reg
+        self.objective_indexed(x, 0..x.rows(), targets)
     }
 
     fn predict(&self, x: &Mat) -> Vec<f64> {
@@ -184,6 +176,32 @@ impl Submodel for LinearSvm {
         let (w, b) = weights.split_at(self.weights.len());
         self.weights.copy_from_slice(w);
         self.bias = b[0];
+    }
+}
+
+impl LinearSgd for LinearSvm {
+    // Subgradient of λ/2‖w‖² + (1/n)Σ hinge.
+    fn accumulate(&self, row: &[f64], y: f64, n: f64, grad_w: &mut [f64], grad_b: &mut f64) {
+        let margin = y * self.decision(row);
+        if margin < 1.0 {
+            for (g, &xi) in grad_w.iter_mut().zip(row) {
+                *g -= y * xi / n;
+            }
+            *grad_b -= y / n;
+        }
+    }
+
+    fn state_mut(&mut self) -> LinearState<'_> {
+        LinearState {
+            weights: &mut self.weights,
+            bias: &mut self.bias,
+            lambda: self.lambda,
+            updates: &mut self.updates,
+        }
+    }
+
+    fn sgd_config(&self) -> SgdConfig {
+        self.config
     }
 }
 

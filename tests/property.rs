@@ -7,7 +7,37 @@ use parmac::core::SpeedupModel;
 use parmac::data::{partition_equal, partition_proportional};
 use parmac::hash::{BinaryCodes, HashFunction, LinearHash};
 use parmac::linalg::Mat;
+use parmac::optim::{LinearSvm, LogisticRegression, RidgeRegression, SgdConfig, Submodel};
 use proptest::prelude::*;
+
+/// The hand-rolled W-step reference the indexed driver replaced: a gathered
+/// copy of the visited rows, then a copy of every minibatch and one
+/// [`Submodel::sgd_step`] on it. Returns the number of steps taken.
+fn gathered_sgd<M: Submodel>(
+    model: &mut M,
+    gathered: &Mat,
+    targets: &[f64],
+    config: SgdConfig,
+    passes: usize,
+) -> u64 {
+    let mut updates = 0;
+    for _ in 0..passes {
+        let mut start = 0;
+        while start < gathered.rows() {
+            let end = (start + config.minibatch_size).min(gathered.rows());
+            let batch: Vec<usize> = (start..end).collect();
+            let step = config.schedule.step_size(updates);
+            model.sgd_step(&gathered.select_rows(&batch), &targets[start..end], step);
+            updates += 1;
+            start = end;
+        }
+    }
+    updates
+}
+
+fn bits(weights: Vec<f64>) -> Vec<u64> {
+    weights.into_iter().map(f64::to_bits).collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -127,5 +157,52 @@ proptest! {
         prop_assert_eq!(a.len(), n);
         prop_assert_eq!(a.n_bits(), bits);
         prop_assert_eq!(a.to_matrix(), b.to_matrix());
+    }
+
+    /// The indexed minibatch-SGD driver — rows read in place through a
+    /// shuffled (or empty) order, from a `Mat` or from bit-packed codes —
+    /// equals the gather-then-step reference bit for bit, `updates` counter
+    /// included, for every minibatch shape: size 1, a ragged last batch, and
+    /// one batch larger than the visit.
+    #[test]
+    fn indexed_sgd_driver_equals_the_gathered_reference(
+        visited in 0usize..40,
+        unvisited in 0usize..8,
+        d in 1usize..9,
+        minibatch in 1usize..48,
+        three_passes in any::<bool>(),
+        seed in 0u64..10_000,
+    ) {
+        use rand::{rngs::SmallRng, seq::SliceRandom, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let passes = if three_passes { 3 } else { 1 };
+        let config = SgdConfig::new().with_eta0(0.05).with_minibatch_size(minibatch);
+        let x = Mat::random_normal(visited + unvisited, d, &mut rng);
+        let codes = LinearHash::random(d, d, &mut rng).encode(&x);
+        let mut order: Vec<usize> = (0..visited + unvisited).collect();
+        order.shuffle(&mut rng);
+        order.truncate(visited);
+        let real: Vec<f64> = (0..visited).map(|_| rng.gen_range(-2.0..2.0)).collect();
+        let signs: Vec<f64> = real.iter().map(|t| if *t >= 0.0 { 1.0 } else { -1.0 }).collect();
+        let unit: Vec<f64> = real.iter().map(|t| (t + 2.0) / 4.0).collect();
+
+        macro_rules! check {
+            ($model:expr, $source:expr, $as_matrix:expr, $targets:expr) => {{
+                let (mut indexed, mut reference) = ($model, $model);
+                let start: Vec<f64> = (0..=d).map(|_| rng.gen_range(-0.5..0.5)).collect();
+                indexed.set_weights(&start);
+                reference.set_weights(&start);
+                indexed.fit_indexed($source, order.iter().copied(), $targets, passes);
+                let gathered = $as_matrix.select_rows(&order);
+                let steps = gathered_sgd(&mut reference, &gathered, $targets, config, passes);
+                prop_assert_eq!(bits(indexed.weights()), bits(reference.weights()));
+                prop_assert_eq!(indexed.updates(), steps);
+                prop_assert_eq!(steps as usize, passes * visited.div_ceil(minibatch));
+            }};
+        }
+        check!(LinearSvm::new(d, config), &x, x, &signs);
+        check!(RidgeRegression::new(d, config), &x, x, &real);
+        check!(LogisticRegression::new(d, config), &x, x, &unit);
+        check!(RidgeRegression::new(d, config), &codes, codes.to_matrix(), &real);
     }
 }
