@@ -2,12 +2,12 @@
 //! tables and figures.
 //!
 //! Each binary in `src/bin/` reproduces one table or figure of the paper's
-//! evaluation (see `DESIGN.md` for the index). They all print tab-separated
-//! series to stdout so the output can be diffed, plotted or pasted into
-//! `EXPERIMENTS.md`. This library holds what they share: a table printer,
-//! experiment-sizing helpers that scale the paper's dataset sizes down to
-//! laptop scale, and dataset/evaluation builders for the benchmark suites
-//! (CIFAR/GIST-like, SIFT-like).
+//! evaluation (the file name says which; the README's "Module ↔ paper map"
+//! is the index). They all print tab-separated series to stdout so the
+//! output can be diffed or plotted. This library holds what they share: a
+//! table printer, experiment-sizing helpers that scale the paper's dataset
+//! sizes down to laptop scale, and dataset/evaluation builders for the
+//! benchmark suites (CIFAR/GIST-like, SIFT-like).
 
 #![warn(missing_docs)]
 

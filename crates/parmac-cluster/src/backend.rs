@@ -4,38 +4,35 @@
 //! circulates submodels over a ring while the Z step is embarrassingly
 //! parallel over data points — but *what* is computed is identical on every
 //! substrate. `ClusterBackend` captures that split: a backend decides **how**
-//! the ring protocol and the per-shard Z solves are executed (serially under a
-//! simulated clock, on real threads, or on a future substrate such as a rayon
-//! pool or MPI ranks), while the shared [`SimCluster`] state (shards, ring
-//! topology, machine speeds, cost model) and the algorithmic closures supplied
-//! by `parmac-core` stay backend-agnostic.
+//! envelopes move and where the per-shard Z solves run, while the shared
+//! [`SimCluster`] state (shards, ring topology, machine speeds, cost model),
+//! the W-step protocol itself (the crate-private `ring` engine) and the
+//! algorithmic closures supplied by `parmac-core` stay backend-agnostic.
 //!
-//! Five backends ship today:
+//! One reference and four drivers of the engine ship today:
 //!
-//! * [`SimBackend`] — the deterministic synchronous-tick simulator, charging
-//!   simulated time to a [`CostModel`] (fig. 10's speedup experiments);
-//! * [`ThreadedBackend`] — real OS threads: the crossbeam ring for the W step
-//!   and one scoped thread per machine shard for the Z step. Simulated time is
-//!   still charged with the same formulas, so speedup curves remain comparable
-//!   across backends;
-//! * [`PoolBackend`](crate::pool::PoolBackend) — a hand-rolled work-stealing
-//!   thread pool (§8.5's shared-memory configuration): the Z step splits every
-//!   shard into point chunks any worker can steal, the W step drains each
-//!   machine's submodel queue across the local workers;
-//! * [`ServerBackend`](crate::server::ServerBackend) — machines as long-lived
-//!   actors behind typed crossbeam mailboxes ([`MachineMsg`]): the W step
-//!   routes [`SubmodelEnvelope`] hops by the envelope's own visit list, the Z
-//!   step is a `ZStepRequest`/reply exchange, and the resident serving fleet
-//!   answers Hamming k-NN queries (via
+//! * [`SimBackend`] — the reference: the deterministic synchronous-tick
+//!   simulator, charging simulated time to a [`CostModel`] (fig. 10's speedup
+//!   experiments). It is the cost-model clock, not a driver of the
+//!   asynchronous ring, and every driver is tested bitwise against it;
+//! * [`ThreadedBackend`] — the channel ring: one scoped OS thread and one
+//!   crossbeam inbox per machine for the W step, one task per shard on `P`
+//!   threads for the Z step. Simulated time is still charged with the same
+//!   formulas, so speedup curves remain comparable across backends;
+//! * [`PoolBackend`](crate::pool::PoolBackend) — the stealing deque (§8.5's
+//!   shared-memory configuration): every W-step visit is a task any worker
+//!   can take, the Z step splits every shard into point chunks. Its ordered
+//!   task runner is the Z fan-out of all three thread backends;
+//! * [`ServerBackend`](crate::server::ServerBackend) — the threaded ring
+//!   plus a resident serving fleet: it trains through the same two functions
+//!   as [`ThreadedBackend`], mirrors each Z step's updates into long-lived
+//!   machine actors, and those answer Hamming k-NN queries (via
 //!   [`QueryRouter`](crate::server::QueryRouter)) *while* training runs;
-//! * [`ProcessBackend`](crate::process::ProcessBackend) — machines as real OS
-//!   processes (`parmac-machined` workers) connected by Unix-domain sockets:
-//!   the coordinator sequences submodel updates exactly once while the worker
-//!   ring routes envelope frames, and a SIGKILLed worker becomes a §4.3 fault
-//!   the step routes around.
-//!
-//! [`MachineMsg`]: crate::server::MachineMsg
-//! [`SubmodelEnvelope`]: crate::envelope::SubmodelEnvelope
+//! * [`ProcessBackend`](crate::process::ProcessBackend) — the socket ring:
+//!   machines as real OS processes (`parmac-machined` workers) connected by
+//!   Unix-domain sockets. The workers route envelope frames, the coordinator
+//!   applies each visit exactly once through the engine, and a SIGKILLed
+//!   worker becomes a §4.3 fault the step routes around.
 //!
 //! The Z step uses a *collect-then-apply* contract: the solve closure returns
 //! the changed codes per shard as [`ZUpdate`]s instead of mutating shared
@@ -49,9 +46,10 @@
 //! kernels allocate nothing regardless of which backend drives them.
 
 use crate::cost::{CostModel, StepTimings, WStepStats, ZStepStats};
+use crate::pool::solve_tasks;
 use crate::sim::{Fault, SimCluster};
 use crate::threaded::run_w_step_threaded;
-use std::thread;
+use parmac_hash::BinaryCodes;
 use std::time::Instant;
 
 /// A new binary code for one data point, produced by a Z-step solve.
@@ -127,20 +125,14 @@ pub trait ClusterBackend {
     /// a run — so a backend that also *serves* the codes (the
     /// [`ServerBackend`](crate::server::ServerBackend) retrieval fleet) stays
     /// fresh. Purely computational backends ignore it (the default no-op).
-    fn publish_codes(&self, _cluster: &SimCluster, _codes: &parmac_hash::BinaryCodes) {}
+    fn publish_codes(&self, _cluster: &SimCluster, _codes: &BinaryCodes) {}
 
     /// Publishes the codes of freshly streamed points: `points` were just
     /// added to `machine`'s shard and their codes are rows of `codes`. The
     /// incremental sibling of [`publish_codes`](Self::publish_codes) — a
     /// streaming ingest touches one machine, so only that machine's delta
     /// should move. Default no-op.
-    fn publish_point_codes(
-        &self,
-        _machine: usize,
-        _points: &[usize],
-        _codes: &parmac_hash::BinaryCodes,
-    ) {
-    }
+    fn publish_point_codes(&self, _machine: usize, _points: &[usize], _codes: &BinaryCodes) {}
 }
 
 /// Z-step statistics shared by every backend: simulated time comes from
@@ -159,6 +151,51 @@ pub(crate) fn z_stats(cluster: &SimCluster, n_submodels: usize, start: Instant) 
             .map(|&m| cluster.shard(m).len())
             .sum(),
     }
+}
+
+/// One machine's slice of the code table, cut out for a shard publish: the
+/// shard's global point indices and their codes, one row per point in shard
+/// order (a word copy per point, nothing decoded).
+pub(crate) fn shard_codes(
+    cluster: &SimCluster,
+    machine: usize,
+    codes: &BinaryCodes,
+) -> (Vec<usize>, BinaryCodes) {
+    let points = cluster.shard(machine).to_vec();
+    let mut cut = BinaryCodes::zeros(points.len(), codes.n_bits());
+    for (row, &point) in points.iter().enumerate() {
+        cut.copy_code_from(row, codes, point);
+    }
+    (points, cut)
+}
+
+/// The codes of freshly streamed `points` (rows of `codes`) as the Z updates
+/// an incremental publish sends.
+pub(crate) fn point_updates(points: &[usize], codes: &BinaryCodes) -> Vec<ZUpdate> {
+    points
+        .iter()
+        .map(|&point| ZUpdate {
+            point,
+            code: codes.to_f64_row(point),
+        })
+        .collect()
+}
+
+/// The thread-per-shard Z step of the threaded and server backends: one task
+/// per machine of the topology, `P` workers, each machine's updates returned
+/// in topology order (the paper's "the Z step is embarrassingly parallel": no
+/// communication, disjoint shards).
+pub(crate) fn solve_per_shard<F>(cluster: &SimCluster, solve: &F) -> Vec<Vec<ZUpdate>>
+where
+    F: Fn(usize, &[usize]) -> Vec<ZUpdate> + Sync,
+{
+    let tasks: Vec<(usize, &[usize])> = cluster
+        .topology()
+        .machines()
+        .iter()
+        .map(|&machine| (machine, cluster.shard(machine)))
+        .collect();
+    solve_tasks(&tasks, tasks.len(), solve)
 }
 
 /// The deterministic synchronous-tick simulator backend.
@@ -231,25 +268,21 @@ impl ClusterBackend for SimBackend {
 
 /// The real-thread backend: one OS thread per machine.
 ///
-/// The W step runs the asynchronous crossbeam ring of §4.1; the Z step spawns
-/// one scoped thread per machine shard (the paper's "the Z step is
-/// embarrassingly parallel": no communication, disjoint shards). Simulated
-/// time is charged with the same cost formulas as [`SimBackend`] so that
-/// fig-10-style speedup curves cover both steps on either backend; wall-clock
-/// time additionally reflects true parallelism.
+/// The W step runs the asynchronous crossbeam ring of §4.1; the Z step runs
+/// one task per machine shard on `P` threads. Simulated time is charged with
+/// the same cost formulas as [`SimBackend`] so that fig-10-style speedup
+/// curves cover both steps on either backend; wall-clock time additionally
+/// reflects true parallelism.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThreadedBackend {
     cost: CostModel,
-    parallel_z: bool,
 }
 
 impl ThreadedBackend {
-    /// A threaded backend with the distributed cost preset and the parallel Z
-    /// step enabled.
+    /// A threaded backend with the distributed cost preset.
     pub fn new() -> Self {
         ThreadedBackend {
             cost: CostModel::distributed(),
-            parallel_z: true,
         }
     }
 
@@ -259,18 +292,6 @@ impl ThreadedBackend {
     pub fn with_cost_model(mut self, cost: CostModel) -> Self {
         self.cost = cost;
         self
-    }
-
-    /// Enables or disables the shard-parallel Z step (serial fallback; the
-    /// results are bitwise identical either way, see the equivalence tests).
-    pub fn with_parallel_z(mut self, on: bool) -> Self {
-        self.parallel_z = on;
-        self
-    }
-
-    /// Whether the Z step runs one thread per shard.
-    pub fn parallel_z(&self) -> bool {
-        self.parallel_z
     }
 }
 
@@ -302,19 +323,7 @@ impl ClusterBackend for ThreadedBackend {
         S: Send,
         F: Fn(&mut S, usize, &[usize]) + Sync,
     {
-        // Borrow the shards (the W step reads them concurrently but never
-        // mutates them): P slice pointers instead of an O(N) copy per step.
-        let shards: Vec<&[usize]> = (0..cluster.n_machines())
-            .map(|p| cluster.shard(p))
-            .collect();
-        run_w_step_threaded(
-            submodels,
-            &shards,
-            cluster.topology(),
-            epochs,
-            params_per_submodel,
-            update,
-        )
+        run_w_step_threaded(cluster, submodels, epochs, params_per_submodel, update)
     }
 
     fn run_z_step<F>(
@@ -327,44 +336,20 @@ impl ClusterBackend for ThreadedBackend {
         F: Fn(usize, &[usize]) -> Vec<ZUpdate> + Sync,
     {
         let start = Instant::now();
-        let machines = cluster.topology().machines();
-        let per_machine: Vec<Vec<ZUpdate>> = if self.parallel_z && machines.len() > 1 {
-            thread::scope(|scope| {
-                let handles: Vec<_> = machines
-                    .iter()
-                    .map(|&machine| {
-                        let solve = &solve;
-                        scope.spawn(move || solve(machine, cluster.shard(machine)))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("Z-step shard thread panicked"))
-                    .collect()
-            })
-        } else {
-            machines
-                .iter()
-                .map(|&machine| solve(machine, cluster.shard(machine)))
-                .collect()
-        };
-        let updates: Vec<ZUpdate> = per_machine.into_iter().flatten().collect();
-        (updates, z_stats(cluster, n_submodels, start))
+        let updates = solve_per_shard(cluster, &solve);
+        (
+            updates.into_iter().flatten().collect(),
+            z_stats(cluster, n_submodels, start),
+        )
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::ring::tests::shards;
 
-    fn shards(p: usize, n: usize) -> Vec<Vec<usize>> {
-        let base = n / p;
-        (0..p)
-            .map(|i| (i * base..(i + 1) * base).collect())
-            .collect()
-    }
-
-    fn toggle_solve(machine: usize, shard: &[usize]) -> Vec<ZUpdate> {
+    pub(crate) fn toggle_solve(machine: usize, shard: &[usize]) -> Vec<ZUpdate> {
         // Deterministic per-point "solve": flip points whose index is even,
         // code derived from (machine, point).
         shard
@@ -377,50 +362,30 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn all_backends_z_steps_produce_identical_updates_and_times() {
+    /// The backend's Z step returns the simulator's updates, bit for bit and
+    /// in the same order, and charges the same simulated time.
+    pub(crate) fn z_step_matches_sim<B: ClusterBackend>(name: &str, backend: &B) {
         let cost = CostModel::new(1.0, 10.0, 5.0);
         let cluster = SimCluster::new(shards(4, 40), cost);
-        let sim = SimBackend::new(cost);
-        let threaded = ThreadedBackend::new().with_cost_model(cost);
-        let pool = crate::pool::PoolBackend::new()
-            .with_workers(3)
-            .with_chunk_size(4)
-            .with_cost_model(cost);
-        let (u_sim, s_sim) = sim.run_z_step(&cluster, 8, toggle_solve);
-        let (u_thr, s_thr) = threaded.run_z_step(&cluster, 8, toggle_solve);
-        let (u_pool, s_pool) = pool.run_z_step(&cluster, 8, toggle_solve);
-        assert_eq!(
-            u_sim, u_thr,
-            "parallel Z must be bitwise identical to serial"
-        );
-        assert_eq!(
-            u_sim, u_pool,
-            "work-stealing Z must be bitwise identical to serial"
-        );
-        assert_eq!(s_sim.points_updated, 40);
-        assert_eq!(s_sim.points_updated, s_thr.points_updated);
-        assert_eq!(s_sim.points_updated, s_pool.points_updated);
-        assert_eq!(s_sim.timings.simulated, s_thr.timings.simulated);
-        assert_eq!(s_sim.timings.simulated, s_pool.timings.simulated);
+        let (u_sim, s_sim) = SimBackend::new(cost).run_z_step(&cluster, 8, toggle_solve);
+        let (u, s) = backend.run_z_step(&cluster, 8, toggle_solve);
+        assert_eq!(u_sim, u, "{name}: Z must be bitwise identical to sim");
+        assert_eq!((s_sim.points_updated, s.points_updated), (40, 40), "{name}");
+        assert_eq!(s_sim.timings.simulated, s.timings.simulated, "{name}");
     }
 
     #[test]
-    fn threaded_serial_z_fallback_matches_parallel() {
-        let cluster = SimCluster::new(shards(3, 30), CostModel::distributed());
-        let parallel = ThreadedBackend::new();
-        let serial = ThreadedBackend::new().with_parallel_z(false);
-        assert!(parallel.parallel_z() && !serial.parallel_z());
-        let (u_par, _) = parallel.run_z_step(&cluster, 4, toggle_solve);
-        let (u_ser, _) = serial.run_z_step(&cluster, 4, toggle_solve);
-        assert_eq!(u_par, u_ser);
+    fn all_backends_z_steps_produce_identical_updates_and_times() {
+        z_step_matches_sim("threaded", &ThreadedBackend::new());
+        let pool = crate::pool::PoolBackend::new();
+        z_step_matches_sim("pool", &pool.with_workers(3).with_chunk_size(4));
     }
 
-    #[test]
-    fn z_updates_arrive_in_topology_order() {
+    /// Z updates come back machine by machine in (shuffled) topology order,
+    /// and in shard order within a machine however the shard was split.
+    pub(crate) fn z_updates_follow_topology_order<B: ClusterBackend>(backend: &B) {
         let mut cluster = SimCluster::new(shards(4, 16), CostModel::distributed());
         cluster.set_topology(crate::topology::RingTopology::from_order(vec![2, 0, 3, 1]));
-        let backend = ThreadedBackend::new();
         let (updates, _) = backend.run_z_step(&cluster, 2, |machine, shard| {
             shard
                 .iter()
@@ -430,89 +395,16 @@ mod tests {
                 })
                 .collect()
         });
-        let machine_order: Vec<usize> = updates
-            .iter()
-            .map(|u| u.code[0] as usize)
-            .collect::<Vec<_>>()
-            .chunks(4)
-            .map(|c| c[0])
-            .collect();
+        let machines: Vec<usize> = updates.iter().map(|u| u.code[0] as usize).collect();
+        let machine_order: Vec<usize> = machines.chunks(4).map(|c| c[0]).collect();
         assert_eq!(machine_order, vec![2, 0, 3, 1]);
+        let points: Vec<usize> = updates.iter().map(|u| u.point).collect();
+        assert_eq!(points[..4], [8, 9, 10, 11]);
     }
 
     #[test]
-    fn every_backend_runs_the_w_step_protocol() {
-        let cluster = SimCluster::new(shards(3, 30), CostModel::distributed());
-        for (name, (subs, stats)) in [
-            (
-                "sim",
-                SimBackend::default().run_w_step(
-                    &cluster,
-                    vec![0usize; 5],
-                    2,
-                    1,
-                    |s, _, shard| *s += shard.len(),
-                    None,
-                ),
-            ),
-            (
-                "threaded",
-                ThreadedBackend::new().run_w_step(
-                    &cluster,
-                    vec![0usize; 5],
-                    2,
-                    1,
-                    |s, _, shard| *s += shard.len(),
-                    None,
-                ),
-            ),
-            (
-                "pool",
-                crate::pool::PoolBackend::new().with_workers(2).run_w_step(
-                    &cluster,
-                    vec![0usize; 5],
-                    2,
-                    1,
-                    |s, _, shard| *s += shard.len(),
-                    None,
-                ),
-            ),
-        ] {
-            assert!(subs.iter().all(|&s| s == 2 * 30), "{name}");
-            assert_eq!(stats.update_visits, 5 * 3 * 2, "{name}");
-        }
-    }
-
-    #[test]
-    fn w_step_stats_are_identical_across_backends() {
-        // The canonical message count is ring_hops(M, P, e); the simulator
-        // counts hops dynamically and must agree with the closed form used by
-        // the threaded and pool backends (no-fault case), byte-for-byte.
-        let (m, p, e, params) = (5usize, 4usize, 3usize, 7usize);
-        let cluster = SimCluster::new(shards(p, 40), CostModel::distributed());
-        let noop = |_: &mut (), _: usize, _: &[usize]| {};
-        let (_, s_sim) =
-            SimBackend::default().run_w_step(&cluster, vec![(); m], e, params, noop, None);
-        let (_, s_thr) =
-            ThreadedBackend::new().run_w_step(&cluster, vec![(); m], e, params, noop, None);
-        let (_, s_pool) = crate::pool::PoolBackend::new().with_workers(2).run_w_step(
-            &cluster,
-            vec![(); m],
-            e,
-            params,
-            noop,
-            None,
-        );
-        let expected = crate::cost::ring_hops(m, p, e);
-        for (name, stats) in [("sim", s_sim), ("threaded", s_thr), ("pool", s_pool)] {
-            assert_eq!(stats.messages_sent, expected, "{name} messages");
-            assert_eq!(
-                stats.bytes_sent,
-                expected * params * std::mem::size_of::<f64>(),
-                "{name} bytes"
-            );
-            assert_eq!(stats.update_visits, m * p * e, "{name} visits");
-        }
+    fn z_updates_arrive_in_topology_order() {
+        z_updates_follow_topology_order(&ThreadedBackend::new());
     }
 
     #[test]

@@ -57,6 +57,20 @@ impl<S> SubmodelEnvelope<S> {
         }
     }
 
+    /// The protocol state without the payload: what crosses a socket when the
+    /// parameters stay with the coordinator (the `process` backend).
+    pub(crate) fn header(&self) -> SubmodelEnvelope<()> {
+        SubmodelEnvelope {
+            submodel_id: self.submodel_id,
+            payload: (),
+            visits: self.visits,
+            epochs_completed: self.epochs_completed,
+            forward_visits: self.forward_visits,
+            pending_machines: self.pending_machines.clone(),
+            faulted_machines: self.faulted_machines.clone(),
+        }
+    }
+
     /// Whether the submodel should still be *updated* when visiting a machine
     /// (as opposed to merely forwarded in the final communication lap): true
     /// until all `epochs` visit lists have been worked off.
@@ -108,8 +122,8 @@ impl<S> SubmodelEnvelope<S> {
     ///
     /// Routing follows from the list: a machine holding an envelope whose
     /// pending list does not contain it relays the envelope onward instead of
-    /// processing it (see the server backend's W step), so faulted machines
-    /// are routed around without any successor-walk special cases.
+    /// processing it (see the process worker's `route_envelope`), so faulted
+    /// machines are routed around without any successor-walk special cases.
     ///
     /// Removing the faulted machine may *empty* the pending list — when the
     /// fault strikes the last unvisited machine of the epoch. That completes

@@ -3,48 +3,54 @@
 //! The paper runs ParMAC on a 128-processor MPI cluster and a 64-core
 //! shared-memory machine. This crate replaces that hardware with
 //! interchangeable execution engines behind the [`ClusterBackend`] trait
-//! ([`backend`]), all implementing the same ring protocol of §4.1:
+//! ([`backend`]).
 //!
-//! * [`sim`] — a **deterministic, synchronous-tick simulator**. Machines,
-//!   their data shards and the circulating submodels are explicit; per-tick
-//!   computation and communication times are charged according to a
-//!   [`CostModel`] (the same `t_r^W`, `t_c^W`, `t_r^Z` quantities the paper's
-//!   speedup model uses), so simulated speedup curves can be compared with the
-//!   theoretical prediction (fig. 10). Fault injection (§4.3) is supported.
-//! * [`threaded`] — a **real multi-threaded backend**: one OS thread per
-//!   machine, crossbeam channels as the unidirectional ring network, and the
-//!   asynchronous queue-per-machine protocol described in §4.1 (each submodel
-//!   carries a visit counter; a final communication-only lap distributes the
-//!   finished submodels).
-//! * [`pool`] — a **work-stealing thread-pool backend** (the paper's
-//!   shared-memory configuration, §8.5): the Z step splits shards into point
-//!   chunks any worker can steal, the W step trains the submodels queued at
-//!   one machine concurrently on the local workers. Results stay bitwise
-//!   identical to the simulator's.
-//! * [`server`] — a **sharded-server backend**: machines as long-lived actors
-//!   behind typed crossbeam mailboxes, W-step envelopes routed by their own
-//!   visit lists (§4.3), the Z step as request/reply exchanges, and a
-//!   resident serving fleet answering Hamming k-NN queries *during* training
-//!   through a [`QueryRouter`] — training and retrieval from the same
-//!   processes. The fleet is replicated and self-healing: a replication
-//!   factor places each shard on several machines, the router fails over
-//!   across live replicas under a bounded deadline, answers carry explicit
-//!   coverage, and a health-tracker-driven rebalancer re-replicates shards
-//!   when machines die or join.
-//! * [`process`] — a **multi-process backend**: each ring machine is an OS
-//!   process (`parmac-machined`) connected over Unix-domain sockets speaking
-//!   length-prefixed [`wire`] frames. A [`process::FleetLauncher`] spawns and
-//!   supervises the workers (heartbeats, exit reaping, socket EOF) and turns
-//!   a dead process into the same §4.3 fault event the in-process backends
-//!   use, so training completes bitwise identical to the simulator even when
-//!   a worker is SIGKILLed mid-step.
+//! **One protocol engine, four drivers, one reference.** The asynchronous
+//! W step of §4.1 / §4.3 — seed submodel `i` at ring position `i mod P`,
+//! update it on every machine `e` times, one forwarding lap, collect — is
+//! written once, in the crate-private `ring` module. A backend only decides
+//! how an envelope reaches its next machine and on which thread the update
+//! runs:
+//!
+//! * [`ThreadedBackend`] — the **channel ring**: one scoped OS thread per
+//!   machine, a crossbeam channel per ring position. Its Z step runs one task
+//!   per shard on `P` threads.
+//! * [`pool`] — the **stealing deque** (the paper's shared-memory
+//!   configuration, §8.5): every visit is a task any worker can take, so the
+//!   submodels queued at one machine train concurrently; the Z step splits
+//!   shards into point chunks. The pool's ordered task runner *is* the Z
+//!   fan-out of every thread backend — they differ only in task shape.
+//! * [`server`] — **the threaded ring plus a resident serving fleet**: it
+//!   trains exactly like [`ThreadedBackend`] and *holds* long-lived machine
+//!   actors that keep each shard's codes and answer Hamming k-NN queries
+//!   *during* training through a [`QueryRouter`]; each Z step's updates are
+//!   mirrored into the fleet. The fleet is replicated and self-healing: a
+//!   replication factor places each shard on several machines, the router
+//!   fails over across live replicas under a bounded deadline, answers carry
+//!   explicit coverage, and a health-tracker-driven rebalancer re-replicates
+//!   shards when machines die or join.
+//! * [`process`] — the **socket ring**: each ring machine is an OS process
+//!   (`parmac-machined`) speaking length-prefixed [`wire`] frames over
+//!   Unix-domain sockets, the coordinator applies every visit through the
+//!   same engine, and — because only a socket can lose an envelope in flight
+//!   — generation fencing and re-injection live there. A
+//!   [`process::FleetLauncher`] supervises the workers and turns a dead
+//!   process into a §4.3 fault event, so training completes bitwise
+//!   identical to the simulator even when a worker is SIGKILLed mid-step.
+//!
+//! [`sim`] is not a driver but the **reference**: a deterministic,
+//! synchronous-tick simulator in which machines, shards and circulating
+//! submodels are explicit and per-tick computation and communication are
+//! charged to a [`CostModel`] (the `t_r^W`, `t_c^W`, `t_r^Z` of the paper's
+//! speedup model, fig. 10), with fault injection (§4.3). Every driver is
+//! tested bitwise against it.
 //!
 //! Supporting modules: [`topology`] (the circular topology, including the
 //!   random re-wiring used for cross-machine shuffling), [`envelope`] (the
 //!   per-submodel protocol metadata: counters and visit lists), [`cost`]
 //!   (cost models and step statistics), [`streaming`] (adding/removing data
-//!   and machines on the fly) and [`wire`] (byte-level envelope/message
-//!   codecs, the groundwork for a multi-process MPI backend).
+//!   and machines on the fly) and [`wire`] (the byte-level codecs the socket
+//!   ring speaks).
 //!
 //! The backends are generic over the submodel type `S` and the update/solve
 //! closures, so they contain no knowledge of binary autoencoders;
@@ -58,10 +64,11 @@ pub mod cost;
 pub mod envelope;
 pub mod pool;
 pub mod process;
+mod ring;
 pub mod server;
 pub mod sim;
 pub mod streaming;
-pub mod threaded;
+mod threaded;
 pub mod topology;
 pub(crate) mod waits;
 pub mod wire;
@@ -74,9 +81,8 @@ pub use process::{FleetLauncher, MachineDown, MachineDownReason, ProcessBackend,
 pub use server::{
     AdmissionConfig, AdmissionError, Coverage, FleetStatus, KnnResponse, MachineMsg, Query,
     QueryReply, QueryRouter, ReplicationConfig, ServerBackend, ServingStats, ShardHits,
-    ZShardUpdates, ZStepRequest,
+    ZShardUpdates,
 };
 pub use sim::{Fault, SimCluster};
-pub use threaded::run_w_step_threaded;
 pub use topology::RingTopology;
 pub use wire::{WireCode, WireError, WireQuery};

@@ -1,9 +1,11 @@
 //! Work-stealing thread-pool backend (§8.5's shared-memory configuration).
 //!
 //! The paper's shared-memory runs execute the very same ring protocol with
-//! all "machines" being cores of one box. Two structural consequences, both
-//! implemented here and neither available to the one-thread-per-machine
-//! [`ThreadedBackend`](crate::backend::ThreadedBackend):
+//! all "machines" being cores of one box. The protocol is the shared engine
+//! (the crate-private `ring` module); this file is its stealing-deque driver
+//! plus the ordered task runner behind every thread backend's Z step
+//! (`solve_tasks`). Two structural consequences, neither available to the
+//! one-thread-per-machine [`ThreadedBackend`](crate::backend::ThreadedBackend):
 //!
 //! * **The Z step is embarrassingly parallel at *point* granularity**, not
 //!   shard granularity: when `P ≪ cores` or the shards are imbalanced
@@ -28,12 +30,11 @@
 //! has been collected.
 
 use crate::backend::{z_stats, ClusterBackend, ZUpdate};
-use crate::cost::{ring_hops, CostModel, StepTimings, WStepStats, ZStepStats};
-use crate::envelope::SubmodelEnvelope;
+use crate::cost::{CostModel, WStepStats, ZStepStats};
+use crate::ring;
 use crate::sim::{Fault, SimCluster};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -52,12 +53,6 @@ fn pop_or_steal<T>(queues: &[Mutex<VecDeque<T>>], worker: usize) -> Option<T> {
         }
     }
     None
-}
-
-/// One W-step task: a submodel envelope about to visit ring position `pos`.
-struct Visit<S> {
-    pos: usize,
-    env: SubmodelEnvelope<S>,
 }
 
 /// The work-stealing pool backend: `workers` threads share every task of a
@@ -150,12 +145,11 @@ impl ClusterBackend for PoolBackend {
     /// §8.5 within-machine W-step parallelism: every (submodel, machine)
     /// visit is one stealable task carrying the submodel's envelope, so all
     /// submodels queued at one machine are trained concurrently by the local
-    /// workers. Processing a visit spawns the successor visit into the
-    /// worker's own deque; each submodel therefore visits machines in exact
-    /// ring order (seeded round-robin by ring position, as in fig. 2) and the
-    /// trained weights are bitwise identical to the other backends'.
-    /// `messages_sent` is the canonical [`ring_hops`] count. Faults are
-    /// ignored (real-thread backends exercise actual liveness instead).
+    /// workers. A visit pushes its successor visit into the worker's own
+    /// deque; each submodel therefore visits machines in exact ring order and
+    /// the trained weights are bitwise identical to the other backends'.
+    /// Faults are ignored (real-thread backends exercise actual liveness
+    /// instead).
     fn run_w_step<S, F>(
         &self,
         cluster: &SimCluster,
@@ -169,100 +163,63 @@ impl ClusterBackend for PoolBackend {
         S: Send,
         F: Fn(&mut S, usize, &[usize]) + Sync,
     {
-        assert!(epochs > 0, "need at least one epoch");
-        let start = Instant::now();
-        let machines = cluster.topology().machines().to_vec();
+        let machines = cluster.topology().machines();
         let p = machines.len();
-        let m_total = submodels.len();
-        if m_total == 0 {
-            return (
-                submodels,
-                WStepStats {
-                    timings: StepTimings::default().with_wall_clock(start.elapsed()),
-                    ..WStepStats::default()
-                },
-            );
-        }
-
-        // At most one worker per circulating submodel can be busy at a time.
-        let workers = self.workers.min(m_total);
-        let queues: Vec<Mutex<VecDeque<Visit<S>>>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (idx, sub) in submodels.into_iter().enumerate() {
-            let env = SubmodelEnvelope::new(idx, sub, &machines);
-            queues[idx % workers]
-                .lock()
-                .push_back(Visit { pos: idx % p, env });
-        }
-
-        let collected: Vec<Mutex<Option<S>>> = (0..m_total).map(|_| Mutex::new(None)).collect();
-        let n_collected = AtomicUsize::new(0);
-        let update_visits = AtomicUsize::new(0);
-
-        thread::scope(|scope| {
-            for worker in 0..workers {
-                let queues = &queues;
-                let machines = &machines;
-                let collected = &collected;
-                let n_collected = &n_collected;
-                let update_visits = &update_visits;
-                let update = &update;
-                scope.spawn(move || {
-                    let mut idle_scans = 0u32;
-                    loop {
-                        let Some(mut visit) = pop_or_steal(queues, worker) else {
-                            if n_collected.load(Ordering::Acquire) == m_total {
-                                break;
+        ring::run_w_step(
+            cluster,
+            machines,
+            submodels,
+            epochs,
+            params_per_submodel,
+            update,
+            |step, seeded| {
+                // At most one worker per circulating submodel can be busy.
+                let workers = self.workers.min(seeded.len());
+                let queues: Vec<Mutex<VecDeque<_>>> =
+                    (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
+                for (pos, env) in seeded {
+                    queues[env.submodel_id % workers]
+                        .lock()
+                        .push_back((pos, env));
+                }
+                thread::scope(|scope| {
+                    for worker in 0..workers {
+                        let queues = &queues;
+                        scope.spawn(move || {
+                            let _guard = step.unwind_guard(|| {});
+                            let mut idle_scans = 0u32;
+                            while !step.is_done() {
+                                let Some((pos, mut env)) = pop_or_steal(queues, worker) else {
+                                    // Another worker still holds an in-flight
+                                    // visit; its successor appears shortly.
+                                    idle_scans += 1;
+                                    if idle_scans < 16 {
+                                        thread::yield_now();
+                                    } else {
+                                        thread::sleep(Duration::from_micros(50));
+                                    }
+                                    continue;
+                                };
+                                idle_scans = 0;
+                                if step.visit(&mut env, machines[pos]) {
+                                    step.collect(env);
+                                } else {
+                                    queues[worker].lock().push_back(((pos + 1) % p, env));
+                                }
                             }
-                            // Another worker still holds an in-flight visit;
-                            // its successor task will appear shortly.
-                            idle_scans += 1;
-                            if idle_scans < 16 {
-                                thread::yield_now();
-                            } else {
-                                thread::sleep(Duration::from_micros(50));
-                            }
-                            continue;
-                        };
-                        idle_scans = 0;
-                        let machine = machines[visit.pos];
-                        if visit.env.record_visit(machine, machines, epochs) {
-                            update(&mut visit.env.payload, machine, cluster.shard(machine));
-                            update_visits.fetch_add(1, Ordering::Relaxed);
-                        }
-                        if visit.env.is_finished(p, epochs) {
-                            *collected[visit.env.submodel_id].lock() = Some(visit.env.payload);
-                            n_collected.fetch_add(1, Ordering::Release);
-                        } else {
-                            visit.pos = (visit.pos + 1) % p;
-                            queues[worker].lock().push_back(visit);
-                        }
+                        });
                     }
                 });
-            }
-        });
-
-        let result: Vec<S> = collected
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every submodel collected"))
-            .collect();
-        let msgs = ring_hops(m_total, p, epochs);
-        let stats = WStepStats {
-            timings: StepTimings::default().with_wall_clock(start.elapsed()),
-            messages_sent: msgs,
-            bytes_sent: msgs * params_per_submodel * std::mem::size_of::<f64>(),
-            update_visits: update_visits.load(Ordering::Relaxed),
-        };
-        (result, stats)
+                0
+            },
+        )
     }
 
     /// Point-granular Z step: every shard is split into `chunk_size`-point
-    /// tasks, any worker solves any chunk, and the per-chunk updates are
-    /// reassembled by task index — i.e. in deterministic topology-then-chunk
-    /// order, bitwise identical to [`SimBackend`](crate::backend::SimBackend)
-    /// (per-point solves are independent; chunking a shard cannot change any
-    /// point's solution). The fixed task set needs no termination protocol:
-    /// tasks never spawn tasks, so a worker whose scan finds nothing exits.
+    /// tasks, any worker solves any chunk, and `solve_tasks` reassembles
+    /// the per-chunk updates in topology-then-chunk order — bitwise identical
+    /// to [`SimBackend`](crate::backend::SimBackend) (per-point solves are
+    /// independent; chunking a shard cannot change any point's solution).
     fn run_z_step<F>(
         &self,
         cluster: &SimCluster,
@@ -284,124 +241,90 @@ impl ClusterBackend for PoolBackend {
                     .map(move |chunk| (machine, chunk))
             })
             .collect();
-
-        let workers = self.workers.min(tasks.len());
-        let mut per_task: Vec<Option<Vec<ZUpdate>>> = (0..tasks.len()).map(|_| None).collect();
-        if workers <= 1 {
-            for (slot, &(machine, chunk)) in per_task.iter_mut().zip(&tasks) {
-                *slot = Some(solve(machine, chunk));
-            }
-        } else {
-            // Distribute task indices round-robin so every worker starts with
-            // chunks spread across the topology; imbalance is then absorbed
-            // by stealing rather than by the initial split.
-            let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-                .map(|worker| Mutex::new((worker..tasks.len()).step_by(workers).collect()))
-                .collect();
-            thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|worker| {
-                        let queues = &queues;
-                        let tasks = &tasks;
-                        let solve = &solve;
-                        scope.spawn(move || {
-                            let mut solved: Vec<(usize, Vec<ZUpdate>)> = Vec::new();
-                            while let Some(task) = pop_or_steal(queues, worker) {
-                                let (machine, chunk) = tasks[task];
-                                solved.push((task, solve(machine, chunk)));
-                            }
-                            solved
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    for (task, updates) in handle.join().expect("Z-step pool worker panicked") {
-                        per_task[task] = Some(updates);
-                    }
-                }
-            });
-        }
-
-        let updates: Vec<ZUpdate> = per_task
-            .into_iter()
-            .flat_map(|u| u.expect("every chunk solved"))
-            .collect();
-        (updates, z_stats(cluster, n_submodels, start))
+        let updates = solve_tasks(&tasks, self.workers, &solve);
+        (
+            updates.into_iter().flatten().collect(),
+            z_stats(cluster, n_submodels, start),
+        )
     }
+}
+
+/// The one Z fan-out: runs `solve(machine, points)` for every task on up to
+/// `workers` stealing threads and returns the per-task updates *in task
+/// order*, whichever worker solved what. Fed one task per shard with
+/// `workers = P` it is the thread-per-shard Z step of the threaded and server
+/// backends; fed point chunks it is the pool's. The fixed task set needs no
+/// termination protocol: tasks never spawn tasks, so a worker whose scan
+/// finds nothing exits. A panic in `solve` re-raises here.
+pub(crate) fn solve_tasks<F>(
+    tasks: &[(usize, &[usize])],
+    workers: usize,
+    solve: &F,
+) -> Vec<Vec<ZUpdate>>
+where
+    F: Fn(usize, &[usize]) -> Vec<ZUpdate> + Sync,
+{
+    let workers = workers.min(tasks.len());
+    if workers <= 1 {
+        return tasks.iter().map(|&(m, points)| solve(m, points)).collect();
+    }
+    // Distribute task indices round-robin so every worker starts with tasks
+    // spread across the topology; imbalance is then absorbed by stealing
+    // rather than by the initial split.
+    let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
+        .map(|worker| Mutex::new((worker..tasks.len()).step_by(workers).collect()))
+        .collect();
+    let mut per_task: Vec<Option<Vec<ZUpdate>>> = (0..tasks.len()).map(|_| None).collect();
+    thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|worker| {
+                let queues = &queues;
+                scope.spawn(move || {
+                    let mut solved: Vec<(usize, Vec<ZUpdate>)> = Vec::new();
+                    while let Some(task) = pop_or_steal(queues, worker) {
+                        let (machine, points) = tasks[task];
+                        solved.push((task, solve(machine, points)));
+                    }
+                    solved
+                })
+            })
+            .collect();
+        for handle in handles {
+            for (task, updates) in handle.join().expect("Z-step worker panicked") {
+                per_task[task] = Some(updates);
+            }
+        }
+    });
+    per_task
+        .into_iter()
+        .map(|u| u.expect("every task solved"))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::tests::{
+        toggle_solve, z_step_matches_sim, z_updates_follow_topology_order,
+    };
     use crate::backend::SimBackend;
-    use crate::topology::RingTopology;
-
-    fn shards(p: usize, n: usize) -> Vec<Vec<usize>> {
-        let base = n / p;
-        (0..p)
-            .map(|i| (i * base..(i + 1) * base).collect())
-            .collect()
-    }
-
-    fn toggle_solve(machine: usize, shard: &[usize]) -> Vec<ZUpdate> {
-        shard
-            .iter()
-            .filter(|&&n| n % 2 == 0)
-            .map(|&n| ZUpdate {
-                point: n,
-                code: vec![machine as f64, n as f64],
-            })
-            .collect()
-    }
+    use crate::ring::tests as protocol;
 
     #[test]
     fn pool_z_step_matches_sim_across_worker_and_chunk_sizes() {
-        let cost = CostModel::new(1.0, 10.0, 5.0);
-        let cluster = SimCluster::new(shards(4, 40), cost);
-        let (u_sim, s_sim) = SimBackend::new(cost).run_z_step(&cluster, 8, toggle_solve);
         for workers in [1usize, 2, 3, 8] {
             for chunk in [1usize, 3, 7, 64] {
-                let pool = PoolBackend::new()
-                    .with_workers(workers)
-                    .with_chunk_size(chunk)
-                    .with_cost_model(cost);
-                let (u_pool, s_pool) = pool.run_z_step(&cluster, 8, toggle_solve);
-                assert_eq!(
-                    u_sim, u_pool,
-                    "pool Z (workers={workers}, chunk={chunk}) must be bitwise identical to sim"
-                );
-                assert_eq!(s_sim.points_updated, s_pool.points_updated);
-                assert_eq!(s_sim.timings.simulated, s_pool.timings.simulated);
+                let pool = PoolBackend::new().with_workers(workers);
+                let name = format!("pool (workers={workers}, chunk={chunk})");
+                z_step_matches_sim(&name, &pool.with_chunk_size(chunk));
             }
         }
     }
 
     #[test]
     fn pool_z_updates_arrive_in_topology_then_chunk_order() {
-        let mut cluster = SimCluster::new(shards(4, 16), CostModel::distributed());
-        cluster.set_topology(RingTopology::from_order(vec![2, 0, 3, 1]));
         let backend = PoolBackend::new().with_workers(4).with_chunk_size(2);
-        let (updates, _) = backend.run_z_step(&cluster, 2, |machine, shard| {
-            shard
-                .iter()
-                .map(|&n| ZUpdate {
-                    point: n,
-                    code: vec![machine as f64],
-                })
-                .collect()
-        });
-        let machine_order: Vec<usize> = updates
-            .iter()
-            .map(|u| u.code[0] as usize)
-            .collect::<Vec<_>>()
-            .chunks(4)
-            .map(|c| c[0])
-            .collect();
-        assert_eq!(machine_order, vec![2, 0, 3, 1]);
-        // Within a machine, points stay in shard order despite the 2-point
-        // chunking.
-        let points: Vec<usize> = updates.iter().map(|u| u.point).collect();
-        assert_eq!(points[..4], [8, 9, 10, 11]);
+        z_updates_follow_topology_order(&backend);
     }
 
     #[test]
@@ -417,74 +340,26 @@ mod tests {
         assert_eq!(u_sim, u_pool);
     }
 
+    // The W-step cases live in the protocol table (`ring::tests`, which runs
+    // them at 1, 2 and 8 workers); these are its pool cells by their old names.
     #[test]
     fn pool_w_step_runs_the_full_protocol() {
-        let cluster = SimCluster::new(shards(4, 40), CostModel::distributed());
         for workers in [1usize, 2, 8] {
-            let backend = PoolBackend::new().with_workers(workers);
-            let epochs = 3;
-            let visits = Mutex::new(std::collections::HashMap::<(usize, usize), usize>::new());
-            let (result, stats) = backend.run_w_step(
-                &cluster,
-                (0..6).collect::<Vec<usize>>(),
-                epochs,
-                1,
-                |sub, machine, shard| {
-                    assert_eq!(shard.len(), 10);
-                    *visits.lock().entry((*sub, machine)).or_insert(0) += 1;
-                },
-                None,
-            );
-            assert_eq!(result, (0..6).collect::<Vec<_>>(), "original order kept");
-            let visits = visits.lock();
-            for sub in 0..6 {
-                for machine in 0..4 {
-                    assert_eq!(
-                        visits.get(&(sub, machine)),
-                        Some(&epochs),
-                        "workers={workers} ({sub},{machine})"
-                    );
-                }
-            }
-            assert_eq!(stats.update_visits, 6 * 4 * epochs);
-            assert_eq!(stats.messages_sent, ring_hops(6, 4, epochs));
+            let pool = PoolBackend::new().with_workers(workers);
+            protocol::visits_every_machine_e_times("pool", &pool);
         }
     }
 
     #[test]
     fn pool_w_step_visits_machines_in_ring_order() {
-        let shards = shards(4, 8);
-        let mut cluster = SimCluster::new(shards, CostModel::distributed());
-        cluster.set_topology(RingTopology::from_order(vec![2, 0, 3, 1]));
-        let seen = Mutex::new(Vec::new());
-        let backend = PoolBackend::new().with_workers(3);
-        backend.run_w_step(
-            &cluster,
-            vec![(); 1],
-            1,
-            1,
-            |_, machine, _| seen.lock().push(machine),
-            None,
-        );
-        // The single submodel starts at ring position 0 (machine 2) and walks
-        // the ring in order — stealing may move it between workers but never
-        // reorders its visits.
-        assert_eq!(*seen.lock(), vec![2, 0, 3, 1]);
+        protocol::shuffled_topology("pool", &PoolBackend::new().with_workers(3));
     }
 
     #[test]
     fn pool_w_step_empty_submodels_and_single_machine() {
-        let cluster = SimCluster::new(shards(1, 10), CostModel::distributed());
-        let backend = PoolBackend::new().with_workers(2);
-        let (empty, stats) =
-            backend.run_w_step(&cluster, Vec::<u8>::new(), 1, 1, |_, _, _| {}, None);
-        assert!(empty.is_empty());
-        assert_eq!(stats.update_visits, 0);
-        let (result, stats) =
-            backend.run_w_step(&cluster, vec![0usize; 2], 2, 1, |sub, _, _| *sub += 1, None);
-        assert_eq!(result, vec![2, 2]);
-        assert_eq!(stats.update_visits, 4);
-        assert_eq!(stats.messages_sent, ring_hops(2, 1, 2));
+        let pool = PoolBackend::new().with_workers(2);
+        protocol::empty_list("pool", &pool);
+        protocol::single_machine("pool", &pool);
     }
 
     #[test]

@@ -44,9 +44,10 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use parmac_hash::BinaryCodes;
 
-use crate::backend::{z_stats, ClusterBackend, ZUpdate};
-use crate::cost::{ring_hops, CostModel, StepTimings, WStepStats, ZStepStats};
+use crate::backend::{point_updates, shard_codes, z_stats, ClusterBackend, ZUpdate};
+use crate::cost::{CostModel, WStepStats, ZStepStats};
 use crate::envelope::SubmodelEnvelope;
+use crate::ring;
 use crate::sim::{Fault, SimCluster};
 
 use launcher::CoordEvent;
@@ -271,15 +272,7 @@ impl ClusterBackend for ProcessBackend {
         S: Send,
         F: Fn(&mut S, usize, &[usize]) + Sync,
     {
-        assert!(epochs > 0, "need at least one epoch");
-        let start = Instant::now();
-        let m_total = submodels.len();
         let all: Vec<usize> = cluster.topology().machines().to_vec();
-        let mut stats = WStepStats::default();
-        if m_total == 0 || all.is_empty() {
-            stats.timings = StepTimings::default().with_wall_clock(start.elapsed());
-            return (submodels, stats);
-        }
         let fleet = self.ensure_fleet(&all);
         fleet.drain_events();
         let dead = fleet.dead_machines();
@@ -290,197 +283,191 @@ impl ClusterBackend for ProcessBackend {
         let p = ring.len();
         assert!(p > 0, "no live machines left in the process fleet");
 
-        let round = fleet.next_round();
-        // Open the round on every live worker *before* seeding: control
-        // sockets are FIFO, so each worker sees WStepBegin before its seed.
-        // (Peer-forwarded envelopes can still race a slow worker's
-        // WStepBegin; workers stash those and replay.)
-        for &machine in &ring {
-            fleet.send_frame(
-                machine,
-                &Frame::WStepBegin {
-                    round,
-                    epochs,
-                    ring: ring.clone(),
-                },
-            );
-        }
-
-        // Coordinator-side authoritative state. `states[id]` is the visit
-        // checkpoint (every applied visit, nothing else), `gens[id]` the
-        // reroute generation, `resume_pos[id]` the ring position where a
-        // re-injected envelope should continue.
-        let mut payloads: Vec<Option<S>> = submodels.into_iter().map(Some).collect();
-        let mut states: Vec<SubmodelEnvelope<()>> = (0..m_total)
-            .map(|id| SubmodelEnvelope::new(id, (), &ring))
-            .collect();
-        let mut gens = vec![0u64; m_total];
-        let mut resume_pos: Vec<usize> = (0..m_total).map(|id| id % p).collect();
-        let mut finished = vec![false; m_total];
-        let mut done = 0usize;
-        let mut reroutes = 0usize;
-
-        // Seed submodel `id` at ring position `id % p` (§4.1): identical to
-        // every in-process backend, which is what keeps the per-submodel
-        // visit sequence — and therefore the trained bits — identical.
-        for (id, state) in states.iter().enumerate() {
-            fleet.send_frame(
-                ring[id % p],
-                &Frame::Envelope {
-                    round,
-                    generation: 0,
-                    envelope: state.clone(),
-                },
-            );
-        }
-
-        let deadline = start + fleet.config().step_timeout;
-        while done < m_total {
-            let event = fleet.recv_event_deadline(deadline).unwrap_or_else(|_| {
-                panic!(
-                    "process W step round {round} exceeded {:?}: {done}/{m_total} submodels \
-                     finished, dead={:?}, events={:?}",
-                    fleet.config().step_timeout,
-                    fleet.dead_machines(),
-                    fleet.down_events(),
-                )
-            });
-            match event {
-                CoordEvent::Frame {
-                    machine,
-                    frame:
-                        Frame::UpdateRequest {
-                            machine: _,
-                            round: r,
-                            generation,
-                            envelope,
-                        },
-                } => {
-                    if r != round {
-                        continue;
-                    }
-                    let id = envelope.submodel_id;
-                    if id >= m_total {
-                        continue;
-                    }
-                    if finished[id] || generation != gens[id] {
-                        // A reroute superseded this copy; tell the worker to
-                        // drop it.
-                        fleet.send_frame(
-                            machine,
-                            &Frame::Stale {
-                                round,
-                                submodel: id,
-                            },
-                        );
-                        continue;
-                    }
-                    let Some(pos) = ring.iter().position(|&m| m == machine) else {
-                        continue;
-                    };
-                    // Authoritative sequencing: the coordinator applies the
-                    // visit to its checkpoint and runs the update closure.
-                    if states[id].record_visit(machine, &ring, epochs) {
-                        if let Some(payload) = payloads[id].as_mut() {
-                            update(payload, machine, cluster.shard(machine));
-                        }
-                        stats.update_visits += 1;
-                    }
-                    resume_pos[id] = (pos + 1) % p;
-                    let fin = states[id].is_finished(p, epochs);
-                    if fin {
-                        finished[id] = true;
-                        done += 1;
-                    }
+        // The socket-ring driver: workers route envelope *headers*, the
+        // coordinator keeps the payloads and applies every visit through the
+        // shared engine, on this thread.
+        ring::run_w_step(
+            cluster,
+            &ring,
+            submodels,
+            epochs,
+            params_per_submodel,
+            update,
+            |step, seeded| {
+                let m_total = seeded.len();
+                let round = fleet.next_round();
+                // Open the round on every live worker *before* seeding:
+                // control sockets are FIFO, so each worker sees WStepBegin
+                // before its seed. (Peer-forwarded envelopes can still race a
+                // slow worker's WStepBegin; workers stash those and replay.)
+                for &machine in &ring {
                     fleet.send_frame(
                         machine,
-                        &Frame::Processed {
+                        &Frame::WStepBegin {
                             round,
-                            generation,
-                            envelope: states[id].clone(),
-                            finished: fin,
+                            epochs,
+                            ring: ring.clone(),
                         },
                     );
                 }
-                CoordEvent::Frame {
-                    machine: _,
-                    frame:
-                        Frame::ForwardFailed {
-                            round: r,
-                            generation,
-                            envelope,
+
+                // Coordinator-side authoritative state. `states[id]` is the
+                // visit checkpoint (every applied visit, nothing else) with
+                // the payload, `gens[id]` the reroute generation,
+                // `resume_pos[id]` the ring position where a re-injected
+                // envelope should continue.
+                let mut gens = vec![0u64; m_total];
+                let mut resume_pos = Vec::with_capacity(m_total);
+                let mut states = Vec::with_capacity(m_total);
+                for (pos, state) in seeded {
+                    fleet.send_frame(
+                        ring[pos],
+                        &Frame::Envelope {
+                            round,
+                            generation: 0,
+                            envelope: state.header(),
                         },
-                } => {
-                    if r != round {
-                        continue;
-                    }
-                    let id = envelope.submodel_id;
-                    if id >= m_total || finished[id] || generation != gens[id] {
-                        continue;
-                    }
-                    // The envelope could not move; re-inject it (fresh
-                    // generation, same checkpoint) at the next live machine.
-                    gens[id] += 1;
-                    let dead_now = fleet.dead_machines();
-                    let target = next_live(&ring, &dead_now, resume_pos[id])
-                        .unwrap_or_else(|| panic!("no live machine left to route submodel {id}"));
-                    reroutes += 1;
+                    );
+                    resume_pos.push(pos);
+                    states.push(state);
+                }
+                let mut finished = vec![false; m_total];
+                let mut done = 0usize;
+                let mut reroutes = 0usize;
+                // Re-injects a checkpoint at the next machine not in `dead`
+                // from ring position `from`, under an already bumped
+                // generation.
+                let reinject = |state: &SubmodelEnvelope<S>,
+                                from: usize,
+                                generation: u64,
+                                dead: &BTreeSet<usize>| {
+                    let target = next_live(&ring, dead, from).unwrap_or_else(|| {
+                        panic!(
+                            "no live machine left to route submodel {}",
+                            state.submodel_id
+                        )
+                    });
                     fleet.send_frame(
                         target,
                         &Frame::Envelope {
                             round,
-                            generation: gens[id],
-                            envelope: states[id].clone(),
+                            generation,
+                            envelope: state.header(),
                         },
                     );
-                }
-                CoordEvent::Frame { .. } => {} // stray acks from publishes
-                CoordEvent::Down(down) => {
-                    if !ring.contains(&down) {
-                        continue;
-                    }
-                    // §4.3 fault path: apply the fault to every unfinished
-                    // envelope's checkpoint and re-inject from the checkpoint.
-                    // Old in-flight copies die as stale at their next stop.
-                    let dead_now = fleet.dead_machines();
-                    for id in 0..m_total {
-                        if finished[id] {
-                            continue;
-                        }
-                        gens[id] += 1;
-                        states[id].handle_fault(down, &ring, epochs);
-                        if states[id].is_finished(p, epochs) {
-                            finished[id] = true;
-                            done += 1;
-                            continue;
-                        }
-                        let target =
-                            next_live(&ring, &dead_now, resume_pos[id]).unwrap_or_else(|| {
-                                panic!("no live machine left to route submodel {id}")
-                            });
-                        reroutes += 1;
-                        fleet.send_frame(
-                            target,
-                            &Frame::Envelope {
-                                round,
-                                generation: gens[id],
-                                envelope: states[id].clone(),
-                            },
-                        );
-                    }
-                }
-            }
-        }
+                };
 
-        let submodels: Vec<S> = payloads
-            .into_iter()
-            .map(|payload| payload.expect("every submodel payload survives the W step"))
-            .collect();
-        let msgs = ring_hops(m_total, p, epochs) + reroutes;
-        stats.messages_sent = msgs;
-        stats.bytes_sent = msgs * params_per_submodel * std::mem::size_of::<f64>();
-        stats.timings = StepTimings::default().with_wall_clock(start.elapsed());
-        (submodels, stats)
+                let deadline = Instant::now() + fleet.config().step_timeout;
+                while done < m_total {
+                    let event = fleet.recv_event_deadline(deadline).unwrap_or_else(|_| {
+                        panic!(
+                            "process W step round {round} exceeded {:?}: {done}/{m_total} \
+                             submodels finished, dead={:?}, events={:?}",
+                            fleet.config().step_timeout,
+                            fleet.dead_machines(),
+                            fleet.down_events(),
+                        )
+                    });
+                    match event {
+                        CoordEvent::Frame {
+                            machine,
+                            frame:
+                                Frame::UpdateRequest {
+                                    machine: _,
+                                    round: r,
+                                    generation,
+                                    envelope,
+                                },
+                        } => {
+                            let id = envelope.submodel_id;
+                            if r != round || id >= m_total {
+                                continue;
+                            }
+                            if finished[id] || generation != gens[id] {
+                                // A reroute superseded this copy; tell the
+                                // worker to drop it.
+                                fleet.send_frame(
+                                    machine,
+                                    &Frame::Stale {
+                                        round,
+                                        submodel: id,
+                                    },
+                                );
+                                continue;
+                            }
+                            let Some(pos) = ring.iter().position(|&m| m == machine) else {
+                                continue;
+                            };
+                            // Authoritative sequencing: the coordinator
+                            // applies the visit to its checkpoint.
+                            let fin = step.visit(&mut states[id], machine);
+                            resume_pos[id] = (pos + 1) % p;
+                            if fin {
+                                finished[id] = true;
+                                done += 1;
+                            }
+                            fleet.send_frame(
+                                machine,
+                                &Frame::Processed {
+                                    round,
+                                    generation,
+                                    envelope: states[id].header(),
+                                    finished: fin,
+                                },
+                            );
+                        }
+                        CoordEvent::Frame {
+                            machine: _,
+                            frame:
+                                Frame::ForwardFailed {
+                                    round: r,
+                                    generation,
+                                    envelope,
+                                },
+                        } => {
+                            let id = envelope.submodel_id;
+                            if r != round || id >= m_total || finished[id] || generation != gens[id]
+                            {
+                                continue;
+                            }
+                            // The envelope could not move; re-inject it
+                            // (fresh generation, same checkpoint).
+                            gens[id] += 1;
+                            reroutes += 1;
+                            let dead_now = fleet.dead_machines();
+                            reinject(&states[id], resume_pos[id], gens[id], &dead_now);
+                        }
+                        CoordEvent::Frame { .. } => {} // stray acks from publishes
+                        CoordEvent::Down(down) => {
+                            if !ring.contains(&down) {
+                                continue;
+                            }
+                            // §4.3 fault path: apply the fault to every
+                            // unfinished envelope's checkpoint and re-inject
+                            // from the checkpoint. Old in-flight copies die
+                            // as stale at their next stop.
+                            let dead_now = fleet.dead_machines();
+                            for id in 0..m_total {
+                                if finished[id] {
+                                    continue;
+                                }
+                                gens[id] += 1;
+                                states[id].handle_fault(down, &ring, epochs);
+                                if states[id].is_finished(p, epochs) {
+                                    finished[id] = true;
+                                    done += 1;
+                                } else {
+                                    reroutes += 1;
+                                    reinject(&states[id], resume_pos[id], gens[id], &dead_now);
+                                }
+                            }
+                        }
+                    }
+                }
+                states.into_iter().for_each(|state| step.collect(state));
+                reroutes
+            },
+        )
     }
 
     fn run_z_step<F>(
@@ -494,9 +481,6 @@ impl ClusterBackend for ProcessBackend {
     {
         let start = Instant::now();
         let all: Vec<usize> = cluster.topology().machines().to_vec();
-        if all.is_empty() {
-            return (Vec::new(), z_stats(cluster, n_submodels, start));
-        }
         let fleet = self.ensure_fleet(&all);
         fleet.drain_events();
         let dead = fleet.dead_machines();
@@ -553,9 +537,6 @@ impl ClusterBackend for ProcessBackend {
 
     fn publish_codes(&self, cluster: &SimCluster, codes: &BinaryCodes) {
         let all: Vec<usize> = cluster.topology().machines().to_vec();
-        if all.is_empty() {
-            return;
-        }
         let fleet = self.ensure_fleet(&all);
         let dead = fleet.dead_machines();
         let seq = fleet.next_seq();
@@ -563,19 +544,8 @@ impl ClusterBackend for ProcessBackend {
             if dead.contains(&machine) {
                 continue;
             }
-            let points = cluster.shard(machine).to_vec();
-            let mut shard_codes = BinaryCodes::zeros(points.len(), codes.n_bits());
-            for (row, &point) in points.iter().enumerate() {
-                shard_codes.set_code(row, &codes.to_f64_row(point));
-            }
-            fleet.send_frame(
-                machine,
-                &Frame::LoadShard {
-                    points,
-                    codes: shard_codes,
-                    seq,
-                },
-            );
+            let (points, codes) = shard_codes(cluster, machine, codes);
+            fleet.send_frame(machine, &Frame::LoadShard { points, codes, seq });
         }
     }
 
@@ -584,18 +554,11 @@ impl ClusterBackend for ProcessBackend {
         // streamed-in machine (§4.3) may not have a worker yet — spawn it so
         // the delta lands somewhere.
         let fleet = self.ensure_fleet(&[machine]);
-        let updates: Vec<ZUpdate> = points
-            .iter()
-            .map(|&point| ZUpdate {
-                point,
-                code: codes.to_f64_row(point),
-            })
-            .collect();
         fleet.send_frame(
             machine,
             &Frame::ApplyZ {
                 round: PUBLISH_ROUND,
-                updates,
+                updates: point_updates(points, codes),
             },
         );
     }

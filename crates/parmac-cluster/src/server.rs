@@ -1,28 +1,23 @@
-//! Sharded-server backend: machines as long-lived actors that serve
-//! **training and retrieval from the same processes**, with shard
+//! Sharded-server backend: the threaded ring **plus a resident serving
+//! fleet**, so training and retrieval run in the same process, with shard
 //! replication, failover routing and health-tracked self-healing.
 //!
 //! ParMAC's data layout — every machine keeps its shard and its slice of the
 //! auxiliary codes forever, only submodels move — is exactly the shape of a
-//! serving fleet. [`ServerBackend`] exploits that: each machine is an actor
-//! behind a typed crossbeam mailbox ([`MachineMsg`]), and the same machine
-//! identity serves three kinds of traffic:
+//! serving fleet. [`ServerBackend`] *holds* one and otherwise trains like
+//! [`ThreadedBackend`](crate::backend::ThreadedBackend):
 //!
-//! * **W step** — [`SubmodelEnvelope`] hops around the ring. Routing is
-//!   driven by the envelope's *own visit list* (`pending_machines`), not a
-//!   hardcoded successor walk: a machine that is not on the list (it faulted
-//!   out via [`SubmodelEnvelope::handle_fault`], or was already visited this
-//!   epoch) relays the envelope unchanged towards the next pending machine.
-//!   This is §4.3's general mechanism, and it is what lets streaming
-//!   `add_machine`/`remove_machine` and fault recovery work mid-training.
-//! * **Z step** — a [`ZStepRequest`]/reply exchange: each machine solves its
-//!   own shard and answers with the changed codes ([`ZShardUpdates`]), which
-//!   are applied in deterministic topology order — bitwise identical to
-//!   [`SimBackend`](crate::backend::SimBackend).
-//! * **Retrieval** — [`Query`]/[`QueryReply`]: the resident serving fleet
-//!   owns a copy of each shard's binary codes and answers Hamming k-NN
-//!   queries *while training runs*. [`QueryRouter`] fans a query batch out to
-//!   the machines hosting the shards and merges the per-shard top-k
+//! * **Training** — the W step is the channel ring over scoped per-machine
+//!   threads and the Z step the thread-per-shard fan-out, both shared with
+//!   the threaded backend, so weights and codes are bitwise identical to
+//!   every other backend. After the Z step each machine's changed codes are
+//!   mirrored into the fleet (`ApplyUpdates`, to every replica of the
+//!   shard); nothing else of training ever enters an actor's mailbox.
+//! * **Retrieval** — [`Query`]/[`QueryReply`] over the typed mailbox
+//!   protocol ([`MachineMsg`]): each machine actor owns a copy of its shards'
+//!   binary codes and answers Hamming k-NN queries *while training runs*.
+//!   [`QueryRouter`] fans a query batch out to the machines hosting the
+//!   shards and merges the per-shard top-k
 //!   ([`parmac_retrieval::merge_shard_topk`]) into exactly the answer a
 //!   single-process [`hamming_knn`](parmac_retrieval::hamming_knn) over the
 //!   concatenated shards would give.
@@ -59,24 +54,21 @@
 //!
 //! # Thread structure
 //!
-//! The *serving fleet* is genuinely long-lived: one detached thread per
-//! machine, spawned on first [`publish_codes`] and kept until the backend is
-//! dropped (the drop path is bounded: a wedged actor is abandoned after a
-//! grace period, never joined forever). The *step protocol* runs on scoped
-//! per-machine threads inside `run_w_step` / `run_z_step`. Both populations
-//! share machine ids and shard layout — one process, training and serving
-//! concurrently.
-//!
-//! Trained weights and codes are bitwise identical to every other backend:
-//! submodels visit machines in the same order, and Z updates are collected
-//! per shard and applied in topology order.
+//! The fleet is genuinely long-lived: one detached thread per machine,
+//! spawned on first [`publish_codes`] and kept until the backend is dropped
+//! (the drop path is bounded: a wedged actor is abandoned after a grace
+//! period, never joined forever). The training steps run on scoped threads
+//! that end with the step. Both populations share machine ids and shard
+//! layout — one process, training and serving concurrently.
 //!
 //! [`publish_codes`]: crate::backend::ClusterBackend::publish_codes
 
-use crate::backend::{z_stats, ClusterBackend, ZUpdate};
-use crate::cost::{ring_hops, CostModel, StepTimings, WStepStats, ZStepStats};
-use crate::envelope::SubmodelEnvelope;
+use crate::backend::{
+    point_updates, shard_codes, solve_per_shard, z_stats, ClusterBackend, ZUpdate,
+};
+use crate::cost::{CostModel, WStepStats, ZStepStats};
 use crate::sim::{Fault, SimCluster};
+use crate::threaded::run_w_step_threaded;
 use crate::waits;
 use crossbeam_channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use parking_lot::Mutex;
@@ -247,13 +239,8 @@ pub struct QueryReply {
     pub missing: Vec<usize>,
 }
 
-/// A Z-step work order: "solve your shard, reply with the changed codes".
-pub struct ZStepRequest {
-    /// Where the machine sends its [`ZShardUpdates`].
-    pub reply: Sender<ZShardUpdates>,
-}
-
-/// One machine's answer to a [`ZStepRequest`].
+/// One machine's share of a Z step's result: the wire form of a shard's
+/// updates (see [`wire`](crate::wire)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ZShardUpdates {
     /// The machine whose shard was solved.
@@ -262,20 +249,13 @@ pub struct ZShardUpdates {
     pub updates: Vec<ZUpdate>,
 }
 
-/// The typed mailbox protocol of a ParMAC server machine. `S` is the
-/// circulating submodel type (the serving fleet instantiates it at `()`).
+/// The typed mailbox protocol of a serving-fleet machine: retrieval, shard
+/// placement and the replica-installation handshake. Training never enters a
+/// mailbox — the W and Z steps run on the threaded ring and the shard-parallel
+/// Z fan-out, and only their *results* arrive here as `ApplyUpdates`.
 // lint: wire-protocol — every variant must be codec'd, declared tag-only,
 // or explicitly local-only (checked by the wire-symmetry pass).
-pub enum MachineMsg<S> {
-    /// W step: a submodel envelope hopping the ring. The step protocol runs
-    /// on scoped in-process actors (the serving loop ignores it), so the
-    /// envelope never crosses the serving wire.
-    // lint: local-only — scoped step protocol, not a serving-wire message
-    Envelope(SubmodelEnvelope<S>),
-    /// Z step: solve the local shard and reply. Same scoped step protocol
-    /// as `Envelope`; the reply channel is in-process.
-    // lint: local-only — scoped step protocol, not a serving-wire message
-    ZStepRequest(ZStepRequest),
+pub enum MachineMsg {
     /// Retrieval: answer a Hamming k-NN query from the requested shards.
     /// Crosses the wire as [`WireQuery`](crate::wire::WireQuery); the reply
     /// channel is transport-level routing.
@@ -664,10 +644,8 @@ fn scan_index(
 }
 
 /// The long-lived serving actor loop: retrieval, shard placement and the
-/// replica-installation protocol until `Shutdown`. Step messages never reach
-/// this loop (the step protocol runs on the scoped per-step actors), so they
-/// are ignored defensively.
-fn serving_actor(machine: usize, rx: Receiver<MachineMsg<()>>, scan_workers: usize) {
+/// replica-installation protocol until `Shutdown`.
+fn serving_actor(machine: usize, rx: Receiver<MachineMsg>, scan_workers: usize) {
     let mut state = MachineState {
         machine,
         shards: BTreeMap::new(),
@@ -732,13 +710,12 @@ fn serving_actor(machine: usize, rx: Receiver<MachineMsg<()>>, scan_workers: usi
             }
             MachineMsg::Wedge(duration) => thread::sleep(duration),
             MachineMsg::Shutdown => break,
-            MachineMsg::Envelope(_) | MachineMsg::ZStepRequest(_) => {}
         }
     }
 }
 
 struct MachineHandle {
-    tx: Sender<MachineMsg<()>>,
+    tx: Sender<MachineMsg>,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -890,7 +867,7 @@ impl Fleet {
     /// Sends `msg` to `machine`, spawning its actor on first contact. Only
     /// the *publish* paths use this: an authoritative `LoadShard` (or the
     /// legacy streaming path) legitimately brings a machine into existence.
-    fn send_spawning(&self, machine: usize, msg: MachineMsg<()>) {
+    fn send_spawning(&self, machine: usize, msg: MachineMsg) {
         // Clone the mailbox sender inside the guard scope, send after: an
         // actor blocked on a full downstream channel must never be able to
         // wedge a thread that is holding the machine-table lock.
@@ -908,7 +885,7 @@ impl Fleet {
     /// Sends `msg` to `machine` only if its actor exists. The query/update
     /// fan-outs use this: a killed machine must *not* be resurrected as an
     /// empty actor that would serve partial shards as complete.
-    fn send_if_resident(&self, machine: usize, msg: MachineMsg<()>) -> Result<(), ()> {
+    fn send_if_resident(&self, machine: usize, msg: MachineMsg) -> Result<(), ()> {
         // Same guard discipline as `send_spawning`: never send while holding
         // the machine-table lock.
         let tx = {
@@ -2005,11 +1982,11 @@ impl QueryRouter {
 
 /// The sharded-server backend: the fourth [`ClusterBackend`].
 ///
-/// Training steps run the typed mailbox protocol over per-machine actors and
-/// stay bitwise identical to [`SimBackend`](crate::backend::SimBackend); the
-/// resident serving fleet answers retrieval queries concurrently, with shard
-/// replication and failover (see the module docs for the full picture).
-/// Cloning the backend shares the fleet.
+/// Training steps are the threaded backend's, bitwise identical to
+/// [`SimBackend`](crate::backend::SimBackend); the resident serving fleet it
+/// holds answers retrieval queries concurrently, with shard replication and
+/// failover (see the module docs for the full picture). Cloning the backend
+/// shares the fleet.
 #[derive(Clone)]
 pub struct ServerBackend {
     cost: CostModel,
@@ -2174,25 +2151,25 @@ impl ClusterBackend for ServerBackend {
         let seq = self.fleet.publish_seq.fetch_add(1, Ordering::SeqCst) + 1;
         let replicas = self.fleet.replication.lock().replicas.min(p);
         for shard in 0..p {
-            let points = cluster.shard(shard).to_vec();
-            let mut shard_codes = BinaryCodes::zeros(points.len(), codes.n_bits());
-            for (local, &global) in points.iter().enumerate() {
-                shard_codes.set_code(local, &codes.to_f64_row(global));
-            }
+            let (points, cut) = shard_codes(cluster, shard, codes);
             let hosts: Vec<usize> = (0..replicas).map(|j| (shard + j) % p).collect();
             self.fleet.assignments.lock().insert(shard, hosts.clone());
-            for &host in &hosts {
-                self.fleet.send_spawning(
-                    host,
-                    MachineMsg::LoadShard {
-                        shard,
-                        points: points.clone(),
-                        codes: shard_codes.clone(),
-                        seq,
-                    },
-                );
+            let load = |host: usize, points: Vec<usize>, codes: BinaryCodes| {
+                let msg = MachineMsg::LoadShard {
+                    shard,
+                    points,
+                    codes,
+                    seq,
+                };
+                self.fleet.send_spawning(host, msg);
                 self.fleet.record_success(host);
+            };
+            // Every host but the last gets a copy; the last takes the cut.
+            let (&last, copies) = hosts.split_last().expect("at least one replica");
+            for &host in copies {
+                load(host, points.clone(), cut.clone());
             }
+            load(last, points, cut);
         }
     }
 
@@ -2200,28 +2177,15 @@ impl ClusterBackend for ServerBackend {
     /// machine's shard (an incremental `ApplyUpdates`, not a full fleet
     /// reload). A brand-new machine becomes its own shard's first host.
     fn publish_point_codes(&self, machine: usize, points: &[usize], codes: &BinaryCodes) {
-        if points.is_empty() {
-            return;
+        if !points.is_empty() {
+            self.fleet
+                .publish_shard_updates(machine, point_updates(points, codes));
         }
-        let updates: Vec<ZUpdate> = points
-            .iter()
-            .map(|&point| ZUpdate {
-                point,
-                code: codes.to_f64_row(point),
-            })
-            .collect();
-        self.fleet.publish_shard_updates(machine, updates);
     }
 
-    /// The asynchronous ring of §4.1 with §4.3's list-driven routing: every
-    /// hop delivers the envelope to the scoped actor of the next machine;
-    /// machines not on the envelope's visit list relay it unchanged. In the
-    /// fault-free case every machine is always on the list, so the visit
-    /// sequence — and therefore the trained weights — are bitwise identical
-    /// to the other backends. Fault *injection* plans are ignored like on the
-    /// other real-thread backends (pre-faulted envelopes are exercised by the
-    /// unit tests instead); `messages_sent` is the canonical [`ring_hops`]
-    /// count plus any relay hops.
+    /// The W step is the threaded backend's: the channel ring over scoped
+    /// per-machine threads. The fleet is not involved — submodels are not
+    /// served.
     fn run_w_step<S, F>(
         &self,
         cluster: &SimCluster,
@@ -2235,119 +2199,13 @@ impl ClusterBackend for ServerBackend {
         S: Send,
         F: Fn(&mut S, usize, &[usize]) + Sync,
     {
-        assert!(epochs > 0, "need at least one epoch");
-        let start = Instant::now();
-        let machines = cluster.topology().machines().to_vec();
-        let p = machines.len();
-        let m_total = submodels.len();
-        if m_total == 0 {
-            return (
-                submodels,
-                WStepStats {
-                    timings: StepTimings::default().with_wall_clock(start.elapsed()),
-                    ..WStepStats::default()
-                },
-            );
-        }
-
-        let mut senders: Vec<Sender<MachineMsg<S>>> = Vec::with_capacity(p);
-        let mut receivers: Vec<Option<Receiver<MachineMsg<S>>>> = Vec::with_capacity(p);
-        for _ in 0..p {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(Some(rx));
-        }
-        let (done_tx, done_rx) = unbounded::<SubmodelEnvelope<S>>();
-
-        // Seed each machine's mailbox with its portion of the submodels
-        // (round robin by ring position, as in fig. 2).
-        for (idx, sub) in submodels.into_iter().enumerate() {
-            let env = SubmodelEnvelope::new(idx, sub, &machines);
-            senders[idx % p]
-                .send(MachineMsg::Envelope(env))
-                .expect("seed send");
-        }
-
-        let update_visits = AtomicUsize::new(0);
-        let relayed = AtomicUsize::new(0);
-
-        let finished = thread::scope(|scope| {
-            for (pos, &machine) in machines.iter().enumerate() {
-                let rx = receivers[pos].take().expect("receiver taken once");
-                let next_tx = senders[(pos + 1) % p].clone();
-                let done_tx = done_tx.clone();
-                let shard = cluster.shard(machine);
-                let update = &update;
-                let machines_ref = &machines;
-                let update_visits = &update_visits;
-                let relayed = &relayed;
-                scope.spawn(move || {
-                    while let Ok(msg) = waits::recv_bounded(&rx, waits::IDLE_TICK) {
-                        let mut env = match msg {
-                            MachineMsg::Shutdown => break,
-                            MachineMsg::Envelope(env) => env,
-                            // Step mailboxes carry only envelopes; the other
-                            // message kinds belong to the serving fleet.
-                            _ => continue,
-                        };
-                        if !env.should_process_at(machine, epochs) {
-                            // §4.3 routing: not on the visit list (already
-                            // visited this epoch, or faulted out) — relay the
-                            // envelope unchanged towards the next pending
-                            // machine.
-                            relayed.fetch_add(1, Ordering::Relaxed);
-                            next_tx.send(MachineMsg::Envelope(env)).expect("ring alive");
-                            continue;
-                        }
-                        if env.record_visit(machine, machines_ref, epochs) {
-                            update(&mut env.payload, machine, shard);
-                            update_visits.fetch_add(1, Ordering::Relaxed);
-                        }
-                        if env.is_finished(p, epochs) {
-                            done_tx.send(env).expect("collector alive");
-                        } else {
-                            next_tx.send(MachineMsg::Envelope(env)).expect("ring alive");
-                        }
-                    }
-                });
-            }
-
-            // Collector: once every submodel has finished, shut the ring down.
-            let mut finished: Vec<Option<S>> = (0..m_total).map(|_| None).collect();
-            for _ in 0..m_total {
-                // Heartbeat-bounded: these are scoped step threads, so a
-                // panic here re-raises at scope join (unlike the detached
-                // serving actors, which must never panic).
-                let env = waits::recv_bounded(&done_rx, waits::IDLE_TICK)
-                    .expect("all submodels eventually finish");
-                finished[env.submodel_id] = Some(env.payload);
-            }
-            for tx in &senders {
-                let _ = tx.send(MachineMsg::Shutdown);
-            }
-            finished
-        });
-
-        let result: Vec<S> = finished
-            .into_iter()
-            .map(|s| s.expect("every submodel collected"))
-            .collect();
-        let msgs = ring_hops(m_total, p, epochs) + relayed.load(Ordering::Relaxed);
-        let stats = WStepStats {
-            timings: StepTimings::default().with_wall_clock(start.elapsed()),
-            messages_sent: msgs,
-            bytes_sent: msgs * params_per_submodel * std::mem::size_of::<f64>(),
-            update_visits: update_visits.load(Ordering::Relaxed),
-        };
-        (result, stats)
+        run_w_step_threaded(cluster, submodels, epochs, params_per_submodel, update)
     }
 
-    /// The Z step as a request/reply exchange: every machine actor receives a
-    /// [`ZStepRequest`], solves its own shard, and answers with its
-    /// [`ZShardUpdates`]. Replies are assembled in topology order (bitwise
-    /// identical to the serial sweep) and mirrored into the serving fleet —
-    /// to *every* replica of each shard — so concurrent queries see the
-    /// freshest codes whichever replica answers them.
+    /// The Z step is the threaded backend's thread-per-shard fan-out; each
+    /// machine's updates are then mirrored into the serving fleet — to *every*
+    /// replica of the shard, in topology order — so queries issued from now
+    /// on see the post-step codes whichever replica answers them.
     fn run_z_step<F>(
         &self,
         cluster: &SimCluster,
@@ -2358,49 +2216,9 @@ impl ClusterBackend for ServerBackend {
         F: Fn(usize, &[usize]) -> Vec<ZUpdate> + Sync,
     {
         let start = Instant::now();
-        let machines = cluster.topology().machines().to_vec();
-        let (reply_tx, reply_rx) = unbounded::<ZShardUpdates>();
-
-        thread::scope(|scope| {
-            for &machine in &machines {
-                let (tx, rx) = unbounded::<MachineMsg<()>>();
-                let solve = &solve;
-                let shard = cluster.shard(machine);
-                scope.spawn(move || {
-                    while let Ok(msg) = waits::recv_bounded(&rx, waits::IDLE_TICK) {
-                        match msg {
-                            MachineMsg::ZStepRequest(request) => {
-                                let updates = solve(machine, shard);
-                                let _ = request.reply.send(ZShardUpdates { machine, updates });
-                            }
-                            MachineMsg::Shutdown => break,
-                            _ => {}
-                        }
-                    }
-                });
-                tx.send(MachineMsg::ZStepRequest(ZStepRequest {
-                    reply: reply_tx.clone(),
-                }))
-                .expect("machine mailbox alive");
-                tx.send(MachineMsg::Shutdown)
-                    .expect("machine mailbox alive");
-            }
-        });
-
-        let mut per_machine: HashMap<usize, Vec<ZUpdate>> = HashMap::with_capacity(machines.len());
-        for _ in 0..machines.len() {
-            // The scope above has joined: every reply is already queued, so
-            // a non-blocking drain suffices (and can never hang).
-            let reply = reply_rx
-                .try_recv()
-                .expect("every machine replied during the scope");
-            per_machine.insert(reply.machine, reply.updates);
-        }
         let mut updates = Vec::new();
-        for &machine in &machines {
-            let shard_updates = per_machine.remove(&machine).expect("one reply per machine");
-            // Keep the serving fleet fresh: queries issued from now on see
-            // this machine's post-step codes on every replica.
+        let per_machine = solve_per_shard(cluster, &solve);
+        for (&machine, shard_updates) in cluster.topology().machines().iter().zip(per_machine) {
             if !shard_updates.is_empty() {
                 self.fleet
                     .publish_shard_updates(machine, shard_updates.clone());
@@ -2414,27 +2232,8 @@ impl ClusterBackend for ServerBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::SimBackend;
-    use crate::topology::RingTopology;
-    use parking_lot::Mutex;
-
-    fn shards(p: usize, n: usize) -> Vec<Vec<usize>> {
-        let base = n / p;
-        (0..p)
-            .map(|i| (i * base..(i + 1) * base).collect())
-            .collect()
-    }
-
-    fn toggle_solve(machine: usize, shard: &[usize]) -> Vec<ZUpdate> {
-        shard
-            .iter()
-            .filter(|&&n| n % 2 == 0)
-            .map(|&n| ZUpdate {
-                point: n,
-                code: vec![machine as f64, n as f64],
-            })
-            .collect()
-    }
+    use crate::backend::tests::{z_step_matches_sim, z_updates_follow_topology_order};
+    use crate::ring::tests::{self as protocol, shards};
 
     /// Single-process reference over the database minus the points in
     /// `lost`, with answers mapped back to global point indices — what a
@@ -2458,101 +2257,35 @@ mod tests {
 
     #[test]
     fn server_z_step_matches_sim() {
-        let cost = CostModel::new(1.0, 10.0, 5.0);
-        let cluster = SimCluster::new(shards(4, 40), cost);
-        let (u_sim, s_sim) = SimBackend::new(cost).run_z_step(&cluster, 8, toggle_solve);
-        let server = ServerBackend::new().with_cost_model(cost);
-        let (u_srv, s_srv) = server.run_z_step(&cluster, 8, toggle_solve);
-        assert_eq!(u_sim, u_srv, "server Z must be bitwise identical to sim");
-        assert_eq!(s_sim.points_updated, s_srv.points_updated);
-        assert_eq!(s_sim.timings.simulated, s_srv.timings.simulated);
+        z_step_matches_sim("server", &ServerBackend::new());
     }
 
     #[test]
     fn server_z_updates_arrive_in_topology_order() {
-        let mut cluster = SimCluster::new(shards(4, 16), CostModel::distributed());
-        cluster.set_topology(RingTopology::from_order(vec![2, 0, 3, 1]));
-        let backend = ServerBackend::new();
-        let (updates, _) = backend.run_z_step(&cluster, 2, |machine, shard| {
-            shard
-                .iter()
-                .map(|&n| ZUpdate {
-                    point: n,
-                    code: vec![machine as f64],
-                })
-                .collect()
-        });
-        let machine_order: Vec<usize> = updates
-            .iter()
-            .map(|u| u.code[0] as usize)
-            .collect::<Vec<_>>()
-            .chunks(4)
-            .map(|c| c[0])
-            .collect();
-        assert_eq!(machine_order, vec![2, 0, 3, 1]);
+        z_updates_follow_topology_order(&ServerBackend::new());
     }
 
+    // The W-step cases live in the protocol table (`ring::tests`); these are
+    // its server cells by their old names.
     #[test]
     fn server_w_step_runs_the_full_protocol() {
-        let cluster = SimCluster::new(shards(4, 40), CostModel::distributed());
-        let backend = ServerBackend::new();
-        let epochs = 3;
-        let visits = Mutex::new(std::collections::HashMap::<(usize, usize), usize>::new());
-        let (result, stats) = backend.run_w_step(
-            &cluster,
-            (0..6).collect::<Vec<usize>>(),
-            epochs,
-            1,
-            |sub, machine, shard| {
-                assert_eq!(shard.len(), 10);
-                *visits.lock().entry((*sub, machine)).or_insert(0) += 1;
-            },
-            None,
-        );
-        assert_eq!(result, (0..6).collect::<Vec<_>>(), "original order kept");
-        let visits = visits.lock();
-        for sub in 0..6 {
-            for machine in 0..4 {
-                assert_eq!(
-                    visits.get(&(sub, machine)),
-                    Some(&epochs),
-                    "({sub},{machine})"
-                );
-            }
-        }
-        assert_eq!(stats.update_visits, 6 * 4 * epochs);
-        assert_eq!(stats.messages_sent, ring_hops(6, 4, epochs));
+        protocol::visits_every_machine_e_times("server", &ServerBackend::new());
     }
 
     #[test]
     fn server_w_step_visits_machines_in_ring_order() {
-        let mut cluster = SimCluster::new(shards(4, 8), CostModel::distributed());
-        cluster.set_topology(RingTopology::from_order(vec![2, 0, 3, 1]));
-        let seen = Mutex::new(Vec::new());
-        let backend = ServerBackend::new();
-        backend.run_w_step(
-            &cluster,
-            vec![(); 1],
-            1,
-            1,
-            |_, machine, _| seen.lock().push(machine),
-            None,
-        );
-        assert_eq!(*seen.lock(), vec![2, 0, 3, 1]);
+        protocol::shuffled_topology("server", &ServerBackend::new());
     }
 
     #[test]
     fn server_w_step_empty_submodels_and_single_machine() {
-        let cluster = SimCluster::new(shards(1, 10), CostModel::distributed());
-        let backend = ServerBackend::new();
-        let (empty, stats) =
-            backend.run_w_step(&cluster, Vec::<u8>::new(), 1, 1, |_, _, _| {}, None);
-        assert!(empty.is_empty());
-        assert_eq!(stats.update_visits, 0);
-        let (result, stats) =
-            backend.run_w_step(&cluster, vec![0usize; 2], 2, 1, |sub, _, _| *sub += 1, None);
-        assert_eq!(result, vec![2, 2]);
-        assert_eq!(stats.update_visits, 4);
+        protocol::empty_list("server", &ServerBackend::new());
+        protocol::single_machine("server", &ServerBackend::new());
+    }
+
+    #[test]
+    fn pre_faulted_envelopes_are_routed_around_the_dead_machine() {
+        protocol::removed_machine("server", &ServerBackend::new());
     }
 
     #[test]
@@ -2892,34 +2625,6 @@ mod tests {
         });
         let q = BinaryCodes::from_bools(&[vec![true, true]]);
         assert_eq!(router.knn(&q, 1).expect_full(), vec![vec![5]]);
-    }
-
-    #[test]
-    fn pre_faulted_envelopes_are_routed_around_the_dead_machine() {
-        // Drive run_w_step with envelopes... the backend seeds fresh
-        // envelopes, so exercise the routing at the protocol level instead: a
-        // ring where one machine is never pending still trains the submodel on
-        // the remaining machines (relay hops, no update). Machine 1 is taken
-        // out of the ring (streaming removal) — the route must skip it without
-        // panicking and without updating on it.
-        let mut cluster = SimCluster::new(shards(3, 9), CostModel::distributed());
-        cluster.remove_machine(1);
-        let seen = Mutex::new(Vec::new());
-        let backend = ServerBackend::new();
-        let (result, stats) = backend.run_w_step(
-            &cluster,
-            vec![0usize; 2],
-            2,
-            1,
-            |sub, machine, _| {
-                *sub += 1;
-                seen.lock().push(machine);
-            },
-            None,
-        );
-        assert_eq!(result, vec![4, 4], "2 epochs x 2 live machines");
-        assert_eq!(stats.update_visits, 8);
-        assert!(!seen.lock().contains(&1), "removed machine must not update");
     }
 
     #[test]

@@ -15,10 +15,9 @@
 //! semantics, not the byte layout).
 //!
 //! Channel handles ([`Sender`](crossbeam_channel::Sender)s, `Arc`s) never
-//! serialise; messages that carry them in-process ([`Query`](crate::server::Query),
-//! [`ZStepRequest`](crate::server::ZStepRequest)) have dedicated wire forms
-//! holding only the data ([`WireQuery`]; a Z-step request is just the
-//! requesting rank, so it needs none).
+//! serialise; the message that carries them in-process
+//! ([`Query`](crate::server::Query)) has a dedicated wire form holding only
+//! the data ([`WireQuery`]).
 
 use crate::backend::ZUpdate;
 use crate::envelope::SubmodelEnvelope;

@@ -663,7 +663,7 @@ mod tests {
         let x = dataset(13, 200);
         let cfg = ParMacConfig::new(quick_ba(6), 4);
         let mut parallel = ParMacTrainer::new(cfg, &x, ThreadedBackend::new());
-        let mut serial = ParMacTrainer::new(cfg, &x, ThreadedBackend::new().with_parallel_z(false));
+        let mut serial = ParMacTrainer::new(cfg, &x, SimBackend::default());
 
         parallel.w_step(&x, 0);
         serial.w_step(&x, 0);
@@ -687,8 +687,7 @@ mod tests {
         let x = dataset(14, 160);
         let cfg = ParMacConfig::new(quick_ba(5), 4);
         let r_par = ParMacTrainer::new(cfg, &x, ThreadedBackend::new()).run(&x);
-        let r_ser =
-            ParMacTrainer::new(cfg, &x, ThreadedBackend::new().with_parallel_z(false)).run(&x);
+        let r_ser = ParMacTrainer::new(cfg, &x, SimBackend::default()).run(&x);
         assert_eq!(r_par.mac.final_ba_error, r_ser.mac.final_ba_error);
         assert_eq!(r_par.mac.iterations_run, r_ser.mac.iterations_run);
     }
