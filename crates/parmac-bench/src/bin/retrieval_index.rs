@@ -3,16 +3,18 @@
 //!
 //! Three measurements, printed as JSON to stdout:
 //!
-//! 1. **Exact multi-probe vs full scan**: the prefix index in exact mode
-//!    ([`PrefixIndex::topk_batched`] with `probe_budget = None`) against the
-//!    PR-5 cache-blocked full scan
-//!    ([`parmac_retrieval::shard_hamming_topk_batched`]) over a clustered
-//!    near-duplicate shard of ≥ 50k 64-bit codes — the acceptance bar is
-//!    ≥ 1.3× qps with bitwise-identical answers. The workload is clustered
-//!    (center codes plus a small per-bit flip probability) because prefix
-//!    pruning only pays when queries resemble the database; on uniform
-//!    random codes every bucket is equidistant and exact multi-probe
-//!    degenerates to a full scan — by design, never by surprise.
+//! 1. **Exact mode vs full scan**, on two shards of ≥ 50k 64-bit codes:
+//!    the prefix index ([`PrefixIndex::topk_batched`], `probe_budget = None`)
+//!    against the PR-5 cache-blocked full scan
+//!    ([`parmac_retrieval::shard_hamming_topk_batched`]), answers asserted
+//!    bitwise equal before timing. On a *clustered* near-duplicate shard
+//!    (center codes plus a small per-bit flip probability — queries resemble
+//!    the database, so prefix pruning pays) the bar is ≥ 1.3× the scan. On a
+//!    *uniform* shard the 10th neighbour sits further out than the prefix is
+//!    wide, no bucket can be ruled out, and the index must notice and spill
+//!    into the same blocked sweep: the bar is ≤ 1.5× the scan's time. Both
+//!    gates are same-run ratios, which survive a noisy runner, and hold in
+//!    `--smoke` too; the probed/swept counts are printed.
 //! 2. **Recall-vs-qps curve**: budgeted mode at several probe budgets, each
 //!    point reporting recall against the exact answer and measured qps.
 //! 3. **SIMD popcount microbench**: the dispatched
@@ -22,10 +24,11 @@
 //!
 //! Run with `cargo run --release -p parmac-bench --bin retrieval_index`;
 //! pass `--smoke` for the bounded fast mode CI runs on every push (smaller
-//! shard, exactness and recall-monotonicity asserted, timings not judged).
+//! shards, exactness, recall-monotonicity and the two ratio gates asserted).
 
 use parmac_bench::host_info_json;
 use parmac_hash::{popcount, BinaryCodes};
+use parmac_retrieval::index::SearchCounts;
 use parmac_retrieval::{shard_hamming_topk_batched, PrefixIndex};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -85,6 +88,42 @@ fn mean_recall(budgeted: &[Vec<(u32, usize)>], exact: &[Vec<(u32, usize)>]) -> f
     total / exact.len().max(1) as f64
 }
 
+/// Phase 1 on one shard: asserts exact mode equal to the blocked full scan,
+/// then times both. Returns `(index time, scan time, what the index call
+/// did)`.
+fn exact_vs_scan(
+    label: &str,
+    database: &BinaryCodes,
+    ids: &[usize],
+    queries: &BinaryCodes,
+    k: usize,
+    reps: usize,
+) -> (Duration, Duration, SearchCounts) {
+    let index = PrefixIndex::build(database, ids);
+    let (exact, counts) = index.topk_counted(queries, 0..queries.len(), k, None);
+    let full = shard_hamming_topk_batched(database, ids, queries, k);
+    assert_eq!(
+        exact, full,
+        "{label}: exact mode diverged from the full scan"
+    );
+    let t_index = best_of(reps, || index.topk_batched(queries, k, None));
+    let t_full = best_of(reps, || {
+        shard_hamming_topk_batched(database, ids, queries, k)
+    });
+    eprintln!(
+        "{label}: exact index {} us vs full scan {} us ({:.2}x); {} queries probed, {} swept, \
+         {} buckets, {} codes scanned",
+        t_index.as_micros(),
+        t_full.as_micros(),
+        t_full.as_secs_f64() / t_index.as_secs_f64().max(1e-12),
+        counts.probed,
+        counts.swept,
+        counts.buckets,
+        counts.codes
+    );
+    (t_index, t_full, counts)
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let n = if smoke { 8_000 } else { 50_000 };
@@ -109,20 +148,27 @@ fn main() {
         index.n_buckets()
     );
 
-    // Correctness before speed: exact mode must equal the full scan bitwise.
+    // Phase 1: exact mode vs the PR-5 blocked full scan, clustered then
+    // uniform; correctness before speed inside `exact_vs_scan`.
+    let (t_index, t_full, counts) = exact_vs_scan("clustered", &database, &ids, &queries, k, reps);
     let exact = index.topk_batched(&queries, k, None);
-    let full = shard_hamming_topk_batched(&database, &ids, &queries, k);
-    assert_eq!(exact, full, "exact multi-probe diverged from the full scan");
-
-    // Phase 1: exact multi-probe vs the PR-5 blocked full scan.
-    let t_index = best_of(reps, || index.topk_batched(&queries, k, None));
-    let t_full = best_of(reps, || {
-        shard_hamming_topk_batched(&database, &ids, &queries, k)
-    });
     let speedup = t_full.as_secs_f64() / t_index.as_secs_f64().max(1e-12);
     let qps_exact = batch as f64 / t_index.as_secs_f64().max(1e-12);
     let qps_full = batch as f64 / t_full.as_secs_f64().max(1e-12);
-    eprintln!("exact multi-probe {qps_exact:.0} qps vs full scan {qps_full:.0} qps: {speedup:.2}x");
+    assert!(
+        speedup >= 1.3,
+        "clustered codes: exact index only {speedup:.2}x the full scan (bar 1.3x)"
+    );
+    // Uniform codes are `random_centers` rows: every bucket equidistant.
+    let uniform = BinaryCodes::from_bools(&random_centers(n, bits, &mut rng));
+    let uniform_queries = BinaryCodes::from_bools(&random_centers(batch, bits, &mut rng));
+    let (u_index, u_full, u_counts) =
+        exact_vs_scan("uniform", &uniform, &ids, &uniform_queries, k, reps);
+    let uniform_ratio = u_index.as_secs_f64() / u_full.as_secs_f64().max(1e-12);
+    assert!(
+        uniform_ratio <= 1.5,
+        "uniform codes: exact index {uniform_ratio:.2}x the full scan's time (bar 1.5x)"
+    );
 
     // Phase 2: recall-vs-qps at increasing probe budgets.
     let budgets = [1usize, 4, 16, 64];
@@ -168,7 +214,7 @@ fn main() {
     );
 
     if smoke {
-        eprintln!("retrieval index smoke: PASS (exactness + recall monotonicity held)");
+        eprintln!("retrieval index smoke: PASS (exactness, recall monotonicity, both ratio gates)");
     }
 
     println!("{{");
@@ -183,9 +229,25 @@ fn main() {
     println!(
         "  \"exact_vs_full_scan\": {{\"full_scan_us\": {}, \"multi_probe_us\": {}, \
          \"full_scan_qps\": {qps_full:.1}, \"multi_probe_qps\": {qps_exact:.1}, \
-         \"speedup\": {speedup:.2}}},",
+         \"speedup\": {speedup:.2}, \"queries_probed\": {}, \"queries_swept\": {}, \
+         \"buckets_probed\": {}, \"codes_scanned\": {}}},",
         t_full.as_micros(),
-        t_index.as_micros()
+        t_index.as_micros(),
+        counts.probed,
+        counts.swept,
+        counts.buckets,
+        counts.codes
+    );
+    println!(
+        "  \"exact_vs_full_scan_uniform\": {{\"full_scan_us\": {}, \"index_us\": {}, \
+         \"index_over_scan\": {uniform_ratio:.2}, \"queries_probed\": {}, \
+         \"queries_swept\": {}, \"buckets_probed\": {}, \"codes_scanned\": {}}},",
+        u_full.as_micros(),
+        u_index.as_micros(),
+        u_counts.probed,
+        u_counts.swept,
+        u_counts.buckets,
+        u_counts.codes
     );
     println!("  \"recall_vs_qps\": [");
     println!("    {}", curve.join(",\n    "));

@@ -435,19 +435,24 @@ impl ReplicaShard {
     }
 
     fn apply(&mut self, update: &ZUpdate) {
-        match self.row_of.get(&update.point) {
-            Some(&row) => self.codes.set_code(row, &update.code),
+        let row = match self.row_of.get(&update.point) {
+            Some(&row) => {
+                self.codes.set_code(row, &update.code);
+                row
+            }
             None => {
-                self.row_of.insert(update.point, self.points.len());
+                let row = self.points.len();
+                self.row_of.insert(update.point, row);
                 self.points.push(update.point);
                 self.codes.push_code(&update.code);
+                row
             }
-        }
+        };
         // Same-prefix updates rewrite their bucket row; bucket-moving ones
         // ride the index's delta region until it recompacts, so a Z step
         // costs per-update work, not a rebuild. `make_mut` copies only in
         // the brief window where a scan worker still holds a snapshot.
-        Arc::make_mut(&mut self.index).upsert(update.point, &update.code);
+        Arc::make_mut(&mut self.index).upsert_code(update.point, &self.codes, row);
     }
     // lint: end-actor-region
 }
@@ -561,7 +566,9 @@ impl MachineState {
 /// The shard's batched top-k, split over this machine's scan workers: each
 /// worker probes the shared index snapshot for a contiguous sub-range of the
 /// query *batch*, so concatenating the chunks in order is exactly the
-/// whole-batch answer (per-query probing is independent — no merge needed).
+/// whole-batch answer (per-query probing is independent — no merge needed;
+/// the queries of a sub-range that the index cannot prune for share that
+/// worker's one blocked sweep of the snapshot).
 /// Each worker keeps at least [`MIN_QUERIES_PER_SCAN_TASK`] queries — small
 /// batches probe serially on the actor thread regardless of the worker
 /// count.

@@ -24,6 +24,26 @@
 //!   index)` tie-break, which only lets *equal* distances displace — and the
 //!   scan stops with the provably exact answer, bitwise identical to the
 //!   full scan.
+//! * **Spill.** The cut needs `bound < r`, and on codes that do not cluster
+//!   it never comes: among 100 000 uniform 64-bit codes the 10th neighbour
+//!   sits at distance ≈ 17, past a 14-bit prefix, and walking all 16 384
+//!   buckets six codes at a time costs 5.4× the blocked full scan. So before
+//!   each radius `r ≥ 2` (the query's own bucket and its `b` one-bit
+//!   neighbours are always probed: until they are in, the heap holds what
+//!   happened to share a prefix, not the neighbourhood) and once its heap is
+//!   full (`bound` says nothing before), a query projects what is left:
+//!   `Σ C(b, r')` buckets for `r' = r ..= min(bound, b)` — an upper bound, as
+//!   `bound` only shrinks — of which the occupied share costs
+//!   `PROBE_OVERHEAD_CODES` swept codes each on top of the rows they hold.
+//!   When that exceeds *twice* a sweep of every row plus
+//!   `SWEEP_SETUP_CODES` (twice: staying wrongly costs at most that, while
+//!   spilling wrongly can cost twenty cheap probes), the query *spills*: its
+//!   heap is dropped and all spilled queries of the call are answered from
+//!   scratch by one walk of the blocked kernel (`search::batched_topk`) over
+//!   the delta region and the whole main storage — dead rows included, which
+//!   carry a tombstone id the scan drops after their one popcount. `(distance,
+//!   id)` keys are unique, so the top-`k` is the same whichever path found it.
+//!   Both constants are ratios of `perf` ledger rows (ROADMAP, PR 15).
 //! * **Probe budget.** Passing `Some(budget)` instead stops after that many
 //!   non-empty buckets, trading recall for throughput. The probe order is
 //!   fixed and independent of `k`, so a larger budget probes a superset of
@@ -39,7 +59,7 @@
 //! little speed — until the delta grows past a rebuild threshold and the
 //! index recompacts.
 
-use crate::search::{drain_heap, RangeScanner};
+use crate::search::{batched_topk, drain_heap, RangeScanner, DEAD_ID};
 use parmac_hash::BinaryCodes;
 use std::collections::BinaryHeap;
 use std::collections::HashMap;
@@ -57,6 +77,48 @@ const TARGET_BUCKET_CODES: usize = 8;
 /// `max(REBUILD_MIN_DELTA, live_main / 4)`.
 const REBUILD_MIN_DELTA: usize = 64;
 
+/// Fixed cost of probing one occupied bucket (mask step, two table lookups,
+/// a scan call on cold rows), in swept codes: `serve_static` walked every
+/// bucket at 4.91 ns a code, 6.1 codes a bucket = 30 ns, of which the codes
+/// themselves are 6.1 × 0.91 ns (`retrieval.fullscan_ns_per_code`).
+const PROBE_OVERHEAD_CODES: usize = 26;
+
+/// Fixed cost of one query's sweep (its heap, and the k·ln(N/k) insertions
+/// before its bound settles), in swept codes: the full scan is 1.22–1.46 ns a
+/// code on 1 200–2 200-code shards against 0.87 ns at 100 000, ≈ 700 ns.
+const SWEEP_SETUP_CODES: usize = 800;
+
+/// `BINOMIAL[b][r]` = C(b, r), the buckets at prefix radius `r`.
+static BINOMIAL: [[usize; MAX_PREFIX_BITS + 1]; MAX_PREFIX_BITS + 1] = {
+    let mut c = [[0; MAX_PREFIX_BITS + 1]; MAX_PREFIX_BITS + 1];
+    let mut b = 0;
+    while b <= MAX_PREFIX_BITS {
+        c[b][0] = 1;
+        let mut r = 1;
+        while r <= b {
+            c[b][r] = c[b - 1][r - 1] + c[b - 1][r];
+            r += 1;
+        }
+        b += 1;
+    }
+    c
+};
+
+/// What one search call did, for the tests and benches that must see both
+/// exact-mode paths taken.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SearchCounts {
+    /// Queries answered by probing alone.
+    pub probed: usize,
+    /// Queries that spilled into the blocked sweep.
+    pub swept: usize,
+    /// Non-empty buckets scanned.
+    pub buckets: usize,
+    /// Codes scanned (delta rows, bucket rows, swept rows).
+    pub codes: usize,
+}
+
 /// Where a point's code currently lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Slot {
@@ -73,13 +135,16 @@ pub struct PrefixIndex {
     prefix_bits: usize,
     n_bits: usize,
     /// Bucket-sorted storage; rows of a bucket past its live length are dead
-    /// (left behind by swap-removal) and never scanned.
+    /// (left behind by swap-removal): never probed, and [`DEAD_ID`] in `ids`
+    /// so the sweep can cross them.
     codes: BinaryCodes,
     ids: Vec<usize>,
     bucket_start: Vec<usize>,
     bucket_len: Vec<usize>,
     /// Live rows in `codes` (dead rows excluded).
     main_live: usize,
+    /// Buckets with at least one live row.
+    occupied: usize,
     delta: BinaryCodes,
     delta_ids: Vec<usize>,
     slot_of: HashMap<usize, Slot>,
@@ -119,7 +184,8 @@ impl PrefixIndex {
     ///
     /// # Panics
     ///
-    /// Panics if `ids` does not hold one *distinct* id per code.
+    /// Panics if `ids` does not hold one *distinct* id per code, or holds
+    /// `usize::MAX` (reserved to mark dead rows).
     pub fn with_prefix_bits(codes: &BinaryCodes, ids: &[usize], bits: usize) -> Self {
         assert_eq!(ids.len(), codes.len(), "one global id per shard code");
         let b = bits.clamp(1, MAX_PREFIX_BITS).min(codes.n_bits()).max(1);
@@ -145,6 +211,7 @@ impl PrefixIndex {
             cursor[v] += 1;
             main.copy_code_from(row, codes, i);
             main_ids[row] = id;
+            assert_ne!(id, DEAD_ID, "global id usize::MAX is reserved");
             let previous = slot_of.insert(id, Slot::Main(row));
             assert!(previous.is_none(), "duplicate global id {id}");
         }
@@ -153,6 +220,7 @@ impl PrefixIndex {
             n_bits: codes.n_bits(),
             codes: main,
             ids: main_ids,
+            occupied: bucket_len.iter().filter(|&&len| len > 0).count(),
             bucket_start,
             bucket_len,
             main_live: n,
@@ -191,7 +259,7 @@ impl PrefixIndex {
     /// Number of non-empty buckets: a probe budget of at least this many
     /// buckets is equivalent to exact mode.
     pub fn occupied_buckets(&self) -> usize {
-        self.bucket_len.iter().filter(|&&len| len > 0).count()
+        self.occupied
     }
 
     /// Codes currently in the always-scanned delta region.
@@ -222,9 +290,11 @@ impl PrefixIndex {
     ///
     /// # Panics
     ///
-    /// Panics if the bit widths differ or `row` is out of range.
+    /// Panics if the bit widths differ, `row` is out of range or `id` is the
+    /// reserved `usize::MAX`.
     pub fn upsert_code(&mut self, id: usize, src: &BinaryCodes, row: usize) {
         assert_eq!(src.n_bits(), self.n_bits, "bit-width mismatch");
+        assert_ne!(id, DEAD_ID, "global id usize::MAX is reserved");
         let new_prefix = src.prefix_bits(row, self.prefix_bits) as usize;
         match self.slot_of.get(&id).copied() {
             Some(Slot::Main(r)) => {
@@ -242,7 +312,9 @@ impl PrefixIndex {
                     self.ids[r] = moved;
                     self.slot_of.insert(moved, Slot::Main(r));
                 }
+                self.ids[last] = DEAD_ID;
                 self.bucket_len[old_prefix] -= 1;
+                self.occupied -= usize::from(self.bucket_len[old_prefix] == 0);
                 self.main_live -= 1;
                 self.push_delta(id, src, row);
             }
@@ -325,6 +397,19 @@ impl PrefixIndex {
         k: usize,
         probe_budget: Option<usize>,
     ) -> Vec<Vec<(u32, usize)>> {
+        self.topk_counted(queries, q_rows, k, probe_budget).0
+    }
+
+    /// [`topk_batched_range`](Self::topk_batched_range) — the one
+    /// implementation — with the call's [`SearchCounts`].
+    #[doc(hidden)]
+    pub fn topk_counted(
+        &self,
+        queries: &BinaryCodes,
+        q_rows: Range<usize>,
+        k: usize,
+        probe_budget: Option<usize>,
+    ) -> (Vec<Vec<(u32, usize)>>, SearchCounts) {
         assert_eq!(
             self.n_bits,
             queries.n_bits(),
@@ -337,10 +422,13 @@ impl PrefixIndex {
         let wpc = self.codes.words_per_code();
         let query_words = queries.as_words();
         let budget = probe_budget.unwrap_or(usize::MAX);
+        let mut counts = SearchCounts::default();
         let mut scanner = RangeScanner::new();
         let mut heap: BinaryHeap<(u32, usize)> = BinaryHeap::with_capacity(k.max(1));
         let mut results = Vec::with_capacity(q_rows.len());
-        for q in q_rows {
+        // Rows of the queries whose probing went hopeless.
+        let mut spilled: Vec<usize> = Vec::new();
+        for q in q_rows.clone() {
             if k == 0 {
                 results.push(Vec::new());
                 continue;
@@ -359,9 +447,15 @@ impl PrefixIndex {
                 &mut heap,
                 u32::MAX,
             );
+            counts.codes += self.delta.len();
             let query_prefix = queries.prefix_bits(q, b);
             let mut probed = 0usize;
             'probing: for radius in 0..=b {
+                if probe_budget.is_none() && self.probing_is_hopeless(radius, bound) {
+                    spilled.push(q);
+                    heap.clear();
+                    break;
+                }
                 for mask in GosperMasks::new(b, radius) {
                     // Provably exact: all unprobed buckets are at prefix
                     // radius ≥ radius, so their codes are at distance
@@ -388,11 +482,45 @@ impl PrefixIndex {
                         bound,
                     );
                     probed += 1;
+                    counts.codes += self.bucket_len[v];
                 }
             }
+            counts.buckets += probed;
             results.push(drain_heap(&mut heap));
         }
-        results
+        counts.swept = spilled.len();
+        counts.probed = results.len() - counts.swept;
+        if !spilled.is_empty() {
+            // One blocked walk answers every spilled query from scratch, so
+            // no code is offered to a heap twice.
+            let mut batch = BinaryCodes::zeros(0, self.n_bits);
+            for &q in &spilled {
+                batch.push_code_from(queries, q);
+            }
+            let stores = [
+                (&self.delta, 0..self.delta.len(), Some(&self.delta_ids[..])),
+                (&self.codes, 0..self.codes.len(), Some(&self.ids[..])),
+            ];
+            let swept = batched_topk(&mut scanner, &stores, &batch, k);
+            for (&q, hits) in spilled.iter().zip(swept) {
+                results[q - q_rows.start] = hits;
+            }
+            counts.codes += spilled.len() * (self.delta.len() + self.codes.len());
+        }
+        (results, counts)
+    }
+
+    /// The spill rule (module docs): would probing the buckets from `radius`
+    /// out to the current `bound` cost more than twice a sweep of every row?
+    fn probing_is_hopeless(&self, radius: usize, bound: u32) -> bool {
+        let (b, rows) = (self.prefix_bits, self.codes.len());
+        let last = b.min(bound as usize);
+        if radius < 2 || bound == u32::MAX || last < radius {
+            return false;
+        }
+        let buckets: usize = BINOMIAL[b][radius..=last].iter().sum();
+        buckets * (self.occupied * PROBE_OVERHEAD_CODES + rows) / self.n_buckets()
+            > 2 * (rows + SWEEP_SETUP_CODES)
     }
 }
 
@@ -636,6 +764,21 @@ mod tests {
     fn build_rejects_duplicate_ids() {
         let shard = random_codes(3, 8, 51);
         let _ = PrefixIndex::build(&shard, &[5, 6, 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "usize::MAX is reserved")]
+    fn build_rejects_the_tombstone_id() {
+        let shard = random_codes(3, 8, 53);
+        let _ = PrefixIndex::build(&shard, &[5, usize::MAX, 6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "usize::MAX is reserved")]
+    fn upsert_code_rejects_the_tombstone_id() {
+        let shard = random_codes(3, 8, 54);
+        let mut index = PrefixIndex::build(&shard, &[0, 1, 2]);
+        index.upsert_code(usize::MAX, &shard, 0);
     }
 
     #[test]

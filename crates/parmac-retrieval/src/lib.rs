@@ -24,6 +24,6 @@ pub use ground_truth::euclidean_knn;
 pub use index::PrefixIndex;
 pub use metrics::{precision, recall_at_r, recall_curve};
 pub use search::{
-    hamming_knn, merge_shard_topk, merge_shard_topk_hits, shard_hamming_topk,
-    shard_hamming_topk_batched, shard_hamming_topk_chunk,
+    hamming_knn, merge_shard_topk, merge_shard_topk_hits, shard_hamming_topk_batched,
+    shard_hamming_topk_chunk,
 };

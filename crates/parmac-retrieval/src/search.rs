@@ -12,11 +12,10 @@
 //! result, so the scan skips the heap entirely (and, for multi-word codes,
 //! stops counting mid-code). Selection is ordered by `(distance, index)`, so
 //! results are identical to sorting the full distance list — the single-query
-//! entry points [`hamming_knn`] and [`shard_hamming_topk`] are routed through
-//! the same implementation.
+//! entry point [`hamming_knn`] is routed through the same implementation.
 //!
 //! For sharded databases (ParMAC machines each keep their shard), the same
-//! selection is *mergeable*: [`shard_hamming_topk`] returns each shard's top
+//! selection is *mergeable*: [`shard_hamming_topk_batched`] returns each shard's top
 //! `k` as `(distance, global index)` pairs and [`merge_shard_topk`] combines
 //! per-shard lists into the global top `k`. Because every per-shard list is
 //! the exact `(distance, index)`-minimal prefix of its shard, merging the
@@ -34,6 +33,15 @@ use std::ops::Range;
 /// Shard words per point-block of the batched scan: 32 KiB, sized to sit in
 /// L1 while a whole query batch revisits the block.
 const BLOCK_WORDS: usize = 4096;
+
+/// The id no point may carry: [`crate::index`] stamps it on rows its
+/// swap-removals leave dead, and [`offer`] — reached only in the already-rare
+/// within-bound branch of a scan — drops it, so a dead row costs one popcount.
+pub(crate) const DEAD_ID: usize = usize::MAX;
+
+/// One contiguous row range of a code store and the map from its absolute
+/// rows to global ids (`None`: rows are their own ids).
+pub(crate) type Segment<'a> = (&'a BinaryCodes, Range<usize>, Option<&'a [usize]>);
 
 /// One query's bounded-heap scan over a contiguous row range: the unit every
 /// retrieval path — the blocked full scan below and the multi-probe bucket
@@ -87,22 +95,20 @@ impl RangeScanner {
             }
             popcount::block_hamming(range_words, query_words, &mut self.dists[..n]);
             for (j, &dist) in self.dists[..n].iter().enumerate() {
-                if dist > bound {
-                    continue;
+                if dist <= bound {
+                    let p = rows.start + j;
+                    let id = global_ids.map_or(p, |ids| ids[p]);
+                    bound = offer(heap, k, (dist, id), bound);
                 }
-                let p = rows.start + j;
-                let id = global_ids.map_or(p, |ids| ids[p]);
-                bound = offer(heap, k, (dist, id), bound);
             }
         } else if let [q_word] = *query_words {
             for (j, &p_word) in range_words.iter().enumerate() {
                 let dist = (p_word ^ q_word).count_ones();
-                if dist > bound {
-                    continue;
+                if dist <= bound {
+                    let p = rows.start + j;
+                    let id = global_ids.map_or(p, |ids| ids[p]);
+                    bound = offer(heap, k, (dist, id), bound);
                 }
-                let p = rows.start + j;
-                let id = global_ids.map_or(p, |ids| ids[p]);
-                bound = offer(heap, k, (dist, id), bound);
             }
         } else {
             for (j, pw) in range_words.chunks_exact(wpc).enumerate() {
@@ -116,12 +122,11 @@ impl RangeScanner {
                         break;
                     }
                 }
-                if dist > bound {
-                    continue;
+                if dist <= bound {
+                    let p = rows.start + j;
+                    let id = global_ids.map_or(p, |ids| ids[p]);
+                    bound = offer(heap, k, (dist, id), bound);
                 }
-                let p = rows.start + j;
-                let id = global_ids.map_or(p, |ids| ids[p]);
-                bound = offer(heap, k, (dist, id), bound);
             }
         }
         bound
@@ -139,15 +144,17 @@ pub(crate) fn drain_heap(heap: &mut BinaryHeap<(u32, usize)>) -> Vec<(u32, usize
 
 /// Offers `candidate` to a bounded max-heap holding the `k` best pairs and
 /// returns the updated early-skip bound (the k-th best distance once the heap
-/// is full, `u32::MAX` before).
+/// is full, `u32::MAX` before). A [`DEAD_ID`] candidate is dropped.
 #[inline]
-pub(crate) fn offer(
+fn offer(
     heap: &mut BinaryHeap<(u32, usize)>,
     k: usize,
     candidate: (u32, usize),
     bound: u32,
 ) -> u32 {
-    if heap.len() < k {
+    if candidate.1 == DEAD_ID {
+        bound
+    } else if heap.len() < k {
         heap.push(candidate);
         if heap.len() == k {
             heap.peek().expect("heap is full").0
@@ -163,56 +170,56 @@ pub(crate) fn offer(
     }
 }
 
-/// The batched, cache-blocked top-`k` kernel over one row range of a shard.
-/// `global_ids`, when present, maps *absolute* row indices to global point
-/// ids; `None` means rows are their own ids (the single-database case).
+/// The batched, cache-blocked top-`k` kernel over the row ranges `segments`
+/// (disjoint, so `(distance, id)` keys stay unique), walked in order as one
+/// scan: the blocked full scans pass one, [`crate::index`]'s sweep its delta
+/// region and its whole main storage.
 ///
-/// Loop structure: the shard rows are walked once in point-blocks of
+/// Loop structure: each segment's rows are walked once in point-blocks of
 /// [`BLOCK_WORDS`] packed words; within a block every query streams the
 /// block's words with its own code, running bound and heap register-/L1-hot.
 /// Per query, rows are visited in ascending order — the exact operation
 /// sequence of the per-query reference scan — so the output is bitwise
 /// identical to [`reference::per_query_shard_topk`] on the same rows.
-fn batched_topk(
-    shard: &BinaryCodes,
-    rows: Range<usize>,
-    global_ids: Option<&[usize]>,
+pub(crate) fn batched_topk(
+    scanner: &mut RangeScanner,
+    segments: &[Segment<'_>],
     queries: &BinaryCodes,
     k: usize,
 ) -> Vec<Vec<(u32, usize)>> {
-    let k = k.min(rows.len());
+    let k = k.min(segments.iter().map(|(_, rows, _)| rows.len()).sum());
     let b = queries.len();
     if k == 0 || b == 0 {
         return vec![Vec::new(); b];
     }
-    let wpc = shard.words_per_code();
-    debug_assert_eq!(wpc, queries.words_per_code());
-    let shard_words = shard.as_words();
+    let wpc = queries.words_per_code();
     let query_words = queries.as_words();
     let mut heaps: Vec<BinaryHeap<(u32, usize)>> =
         (0..b).map(|_| BinaryHeap::with_capacity(k)).collect();
     // Per-query early-skip bound: the current k-th (worst kept) distance,
     // `u32::MAX` until the heap has k entries.
     let mut bounds: Vec<u32> = vec![u32::MAX; b];
-    let mut scanner = RangeScanner::new();
     let block_points = (BLOCK_WORDS / wpc).max(1);
-    let mut block_start = rows.start;
-    while block_start < rows.end {
-        let block_end = (block_start + block_points).min(rows.end);
-        for (q, heap) in heaps.iter_mut().enumerate() {
-            let qw = &query_words[q * wpc..(q + 1) * wpc];
-            bounds[q] = scanner.scan_range(
-                shard_words,
-                wpc,
-                block_start..block_end,
-                global_ids,
-                qw,
-                k,
-                heap,
-                bounds[q],
-            );
+    for (shard, rows, global_ids) in segments {
+        debug_assert_eq!(wpc, shard.words_per_code());
+        let mut block_start = rows.start;
+        while block_start < rows.end {
+            let block_end = (block_start + block_points).min(rows.end);
+            for (q, heap) in heaps.iter_mut().enumerate() {
+                let qw = &query_words[q * wpc..(q + 1) * wpc];
+                bounds[q] = scanner.scan_range(
+                    shard.as_words(),
+                    wpc,
+                    block_start..block_end,
+                    *global_ids,
+                    qw,
+                    k,
+                    heap,
+                    bounds[q],
+                );
+            }
+            block_start = block_end;
         }
-        block_start = block_end;
     }
     heaps
         .into_iter()
@@ -239,7 +246,8 @@ fn assert_query_shapes(shard: &BinaryCodes, queries: &BinaryCodes, k: usize) {
 /// Panics if the code widths differ or `k == 0`.
 pub fn hamming_knn(database: &BinaryCodes, queries: &BinaryCodes, k: usize) -> Vec<Vec<usize>> {
     assert_query_shapes(database, queries, k);
-    batched_topk(database, 0..database.len(), None, queries, k)
+    let whole = [(database, 0..database.len(), None)];
+    batched_topk(&mut RangeScanner::new(), &whole, queries, k)
         .into_iter()
         .map(|hits| hits.into_iter().map(|(_, i)| i).collect())
         .collect()
@@ -256,7 +264,8 @@ pub fn hamming_knn(database: &BinaryCodes, queries: &BinaryCodes, k: usize) -> V
 /// # Panics
 ///
 /// Panics if the code widths differ, `k == 0`, or `global_ids` does not have
-/// one entry per shard code.
+/// one entry per shard code. `usize::MAX` is not a point id: the scan
+/// reserves it for dead rows and skips it.
 pub fn shard_hamming_topk_batched(
     shard: &BinaryCodes,
     global_ids: &[usize],
@@ -269,22 +278,8 @@ pub fn shard_hamming_topk_batched(
         shard.len(),
         "one global id per shard code"
     );
-    batched_topk(shard, 0..shard.len(), Some(global_ids), queries, k)
-}
-
-/// Per-shard top-`k` (see [`shard_hamming_topk_batched`], which this routes
-/// through — kept as the stable name the serving backends call).
-///
-/// # Panics
-///
-/// As for [`shard_hamming_topk_batched`].
-pub fn shard_hamming_topk(
-    shard: &BinaryCodes,
-    global_ids: &[usize],
-    queries: &BinaryCodes,
-    k: usize,
-) -> Vec<Vec<(u32, usize)>> {
-    shard_hamming_topk_batched(shard, global_ids, queries, k)
+    let whole = [(shard, 0..shard.len(), Some(global_ids))];
+    batched_topk(&mut RangeScanner::new(), &whole, queries, k)
 }
 
 /// Top-`k` over one contiguous row range of a shard: the unit of work of a
@@ -311,7 +306,8 @@ pub fn shard_hamming_topk_chunk(
         "one global id per shard code"
     );
     assert!(rows.end <= shard.len(), "row range exceeds the shard");
-    batched_topk(shard, rows, Some(global_ids), queries, k)
+    let chunk = [(shard, rows, Some(global_ids))];
+    batched_topk(&mut RangeScanner::new(), &chunk, queries, k)
 }
 
 /// Merges per-shard (or per-chunk) top-`k` lists — each sorted ascending by
@@ -408,8 +404,7 @@ pub mod reference {
             .collect()
     }
 
-    /// Per-shard top-`k` via the per-query heap scan — `shard_hamming_topk`
-    /// as shipped by PR 4.
+    /// Per-shard top-`k` via the per-query heap scan, as shipped by PR 4.
     pub fn per_query_shard_topk(
         shard: &BinaryCodes,
         global_ids: &[usize],
@@ -594,7 +589,7 @@ mod tests {
             let per_shard: Vec<Vec<Vec<(u32, usize)>>> = shard_codes
                 .iter()
                 .zip(&shards)
-                .map(|(codes, ids)| shard_hamming_topk(codes, ids, &q, k))
+                .map(|(codes, ids)| shard_hamming_topk_batched(codes, ids, &q, k))
                 .collect();
             for query in 0..q.len() {
                 let lists: Vec<Vec<(u32, usize)>> =
@@ -664,7 +659,7 @@ mod tests {
     fn shard_topk_rejects_id_length_mismatch() {
         let db = codes(&[vec![true, false]]);
         let q = codes(&[vec![true, false]]);
-        let _ = shard_hamming_topk(&db, &[0, 1], &q, 1);
+        let _ = shard_hamming_topk_batched(&db, &[0, 1], &q, 1);
     }
 
     #[test]

@@ -7,7 +7,12 @@
 //!   per-query heap scan, including `(distance, index)` tie-breaks — the
 //!   generators force tiny widths (constant distance collisions), multi-word
 //!   codes (`L > 64`), `k ≥ N`, shuffled non-contiguous global ids, and
-//!   requested prefix widths wider than the code;
+//!   requested prefix widths wider than the code. Exact mode has two ways to
+//!   answer a query — probe to the exact cut, or spill into the blocked
+//!   sweep — so the seeded shards at the bottom are large enough to take
+//!   each (uniform codes spill, clustered codes must not, a mid-training
+//!   index with dead rows and a delta region does both in one batch) and
+//!   assert through [`PrefixIndex::topk_counted`] that it was taken;
 //! * **budgeted mode** has recall monotone non-decreasing in the probe
 //!   budget, and saturates to the exact answer once the budget covers every
 //!   occupied bucket;
@@ -19,6 +24,8 @@ use parmac_hash::BinaryCodes;
 use parmac_retrieval::search::reference;
 use parmac_retrieval::PrefixIndex;
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// A database, a query batch (same width), a `k` that may exceed `N`, and a
 /// requested prefix width that may exceed the code width. Widths up to 130
@@ -47,6 +54,124 @@ fn recall(budgeted: &[(u32, usize)], exact: &[(u32, usize)]) -> f64 {
     }
     let hit = exact.iter().filter(|e| budgeted.contains(e)).count();
     hit as f64 / exact.len() as f64
+}
+
+/// `n` uniform random codes: the 10th neighbour of a 64-bit query sits at
+/// distance ≈ 20, beyond any prefix width, so no bucket can be ruled out.
+fn uniform_codes(n: usize, bits: usize, rng: &mut SmallRng) -> BinaryCodes {
+    let rows: Vec<Vec<bool>> = (0..n)
+        .map(|_| (0..bits).map(|_| rng.gen_bool(0.5)).collect())
+        .collect();
+    BinaryCodes::from_bools(&rows)
+}
+
+/// `n` near-duplicates of `centers` (each bit flipped with probability
+/// 0.02): what a trained hash makes of clustered data, where probing prunes.
+fn clustered_codes(n: usize, centers: &BinaryCodes, rng: &mut SmallRng) -> BinaryCodes {
+    let rows: Vec<Vec<bool>> = (0..n)
+        .map(|_| {
+            let c = rng.gen_range(0..centers.len());
+            (0..centers.n_bits())
+                .map(|b| centers.bit(c, b) ^ rng.gen_bool(0.02))
+                .collect()
+        })
+        .collect();
+    BinaryCodes::from_bools(&rows)
+}
+
+/// The first `n` rows of `codes`, then all of `rest`.
+fn head_then(codes: &BinaryCodes, n: usize, rest: &BinaryCodes) -> BinaryCodes {
+    let mut all = BinaryCodes::zeros(0, codes.n_bits());
+    for row in 0..n {
+        all.push_code_from(codes, row);
+    }
+    all.append_codes(rest);
+    all
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn uniform_codes_spill_into_the_sweep_and_stay_exact(seed in 0u64..1_000_000, bits in 60usize..70) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let shard = uniform_codes(4000, bits, &mut rng);
+        let queries = uniform_codes(9, bits, &mut rng);
+        let ids = stride_ids(shard.len(), 5);
+        let index = PrefixIndex::build(&shard, &ids);
+        let (hits, counts) = index.topk_counted(&queries, 0..queries.len(), 10, None);
+        prop_assert_eq!(hits, reference::per_query_shard_topk(&shard, &ids, &queries, 10));
+        prop_assert_eq!((counts.probed, counts.swept), (0, 9));
+        // Each query paid for its own bucket and the one-bit neighbours,
+        // then for one pass over the rows — not for every bucket.
+        prop_assert!(counts.buckets <= 9 * (1 + index.prefix_bits()));
+        prop_assert!(counts.codes >= 9 * shard.len() && counts.codes < 10 * shard.len());
+    }
+
+    #[test]
+    fn clustered_codes_are_probed_never_swept(seed in 0u64..1_000_000) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let centers = uniform_codes(40, 64, &mut rng);
+        let shard = clustered_codes(4000, &centers, &mut rng);
+        // Each query is a centre: its ~100 copies sit in its own bucket and
+        // the one-bit neighbours, so the bound is below 2 before the spill
+        // rule is first consulted.
+        let queries = head_then(&centers, 9, &BinaryCodes::zeros(0, 64));
+        let ids = stride_ids(shard.len(), 11);
+        let index = PrefixIndex::build(&shard, &ids);
+        let (hits, counts) = index.topk_counted(&queries, 0..queries.len(), 10, None);
+        prop_assert_eq!(hits, reference::per_query_shard_topk(&shard, &ids, &queries, 10));
+        prop_assert_eq!((counts.probed, counts.swept), (9, 0));
+        prop_assert!(counts.buckets >= 9 && counts.codes < 9 * shard.len() / 2);
+    }
+
+    #[test]
+    fn a_mid_training_index_probes_some_queries_and_sweeps_others(seed in 0u64..1_000_000) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        // Half the shard clusters, half is uniform; then a Z step rewrites
+        // 300 points, most of which change bucket: dead rows in the main
+        // storage, a delta region below the recompaction threshold.
+        let centers = uniform_codes(20, 64, &mut rng);
+        let mut live = clustered_codes(3000, &centers, &mut rng);
+        live.append_codes(&uniform_codes(3000, 64, &mut rng));
+        let ids = stride_ids(live.len(), 3);
+        let mut index = PrefixIndex::build(&live, &ids);
+        let rewrites = uniform_codes(300, 64, &mut rng);
+        for r in 0..rewrites.len() {
+            let row = rng.gen_range(0..live.len());
+            live.copy_code_from(row, &rewrites, r);
+            index.upsert_code(ids[row], &live, row);
+        }
+        prop_assert_eq!(index.rebuilds(), 0);
+        prop_assert!(index.delta_len() > 200);
+        // Queries 0..5 are cluster centres, queries 5..9 resemble nothing.
+        let queries = head_then(&centers, 5, &uniform_codes(4, 64, &mut rng));
+        let (hits, counts) = index.topk_counted(&queries, 0..queries.len(), 10, None);
+        prop_assert_eq!(&hits, &reference::per_query_shard_topk(&live, &ids, &queries, 10));
+        prop_assert_eq!((counts.probed, counts.swept), (5, 4));
+        // Split across scan workers, each range decides for itself.
+        let mut split = index.topk_batched_range(&queries, 0..3, 10, None);
+        split.extend(index.topk_batched_range(&queries, 3..9, 10, None));
+        prop_assert_eq!(split, hits);
+    }
+
+    #[test]
+    fn multi_word_codes_spill_unless_k_reaches_the_shard(seed in 0u64..1_000_000) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let shard = uniform_codes(3000, 130, &mut rng);
+        let queries = uniform_codes(4, 130, &mut rng);
+        let ids = stride_ids(shard.len(), 17);
+        let index = PrefixIndex::build(&shard, &ids);
+        let (hits, counts) = index.topk_counted(&queries, 0..queries.len(), 10, None);
+        prop_assert_eq!(hits, reference::per_query_shard_topk(&shard, &ids, &queries, 10));
+        prop_assert_eq!((counts.probed, counts.swept), (0, 4));
+        // k ≥ N: the heap never fills, the bound says nothing, nobody spills.
+        for k in [shard.len(), 2 * shard.len()] {
+            let (hits, counts) = index.topk_counted(&queries, 0..queries.len(), k, None);
+            prop_assert_eq!(hits, reference::per_query_shard_topk(&shard, &ids, &queries, k));
+            prop_assert_eq!((counts.probed, counts.swept), (4, 0));
+        }
+    }
 }
 
 proptest! {
