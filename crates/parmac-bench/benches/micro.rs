@@ -47,12 +47,11 @@ fn bench_hamming_search(c: &mut Criterion) {
     );
 }
 
-/// Perf-trajectory entry 4 (`BENCH_serving.json`): the batched, cache-blocked
-/// top-k kernel against the PR-2 per-query heap scan it replaced, at the
-/// serving-shaped 64-query batch over 50k codes (acceptance bar: ≥ 2×). Both
-/// run in the same invocation so the ratio is host-consistent, and the
-/// baseline is the same implementation the bitwise-equivalence tests pin
-/// (`parmac_retrieval::search::reference`).
+/// The batched, cache-blocked top-k kernel against the PR-2 per-query heap
+/// scan it replaced, at the serving-shaped 64-query batch over 50k codes
+/// (acceptance bar: ≥ 2×). Both run in the same invocation so the ratio is
+/// host-consistent, and the baseline is the same implementation the
+/// bitwise-equivalence tests pin (`parmac_retrieval::search::reference`).
 fn bench_batched_topk(c: &mut Criterion) {
     let mut rng = SmallRng::seed_from_u64(6);
     let hash = LinearHash::random(64, 128, &mut rng);

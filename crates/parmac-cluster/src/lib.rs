@@ -22,9 +22,12 @@
 //!   fan-out of every thread backend — they differ only in task shape.
 //! * [`server`] — **the threaded ring plus a resident serving fleet**: it
 //!   trains exactly like [`ThreadedBackend`] and *holds* long-lived machine
-//!   actors that keep each shard's codes and answer Hamming k-NN queries
-//!   *during* training through a [`QueryRouter`]; each Z step's updates are
-//!   mirrored into the fleet. The fleet is replicated and self-healing: a
+//!   actors — one thread per machine, owning its shards' codes and index
+//!   outright (§4; more cores means more machines, §8.5) — that answer
+//!   Hamming k-NN queries *during* training through a [`QueryRouter`]; each
+//!   Z step's updates are mirrored into the fleet. Besides the `P` actors
+//!   the fleet runs at most one admission loop and one rebalancer, nothing
+//!   else. The fleet is replicated and self-healing: a
 //!   replication factor places each shard on several machines, the router
 //!   fails over across live replicas under a bounded deadline, answers carry
 //!   explicit coverage, and a health-tracker-driven rebalancer re-replicates
@@ -49,8 +52,9 @@
 //!   random re-wiring used for cross-machine shuffling), [`envelope`] (the
 //!   per-submodel protocol metadata: counters and visit lists), [`cost`]
 //!   (cost models and step statistics), [`streaming`] (adding/removing data
-//!   and machines on the fly) and [`wire`] (the byte-level codecs the socket
-//!   ring speaks).
+//!   and machines on the fly), [`wire`] (the byte-level codecs the socket
+//!   ring speaks) and the crate-private `replica` (the resident-shard store
+//!   both the serving actors and the `parmac-machined` workers keep).
 //!
 //! The backends are generic over the submodel type `S` and the update/solve
 //! closures, so they contain no knowledge of binary autoencoders;
@@ -64,6 +68,7 @@ pub mod cost;
 pub mod envelope;
 pub mod pool;
 pub mod process;
+mod replica;
 mod ring;
 pub mod server;
 pub mod sim;

@@ -22,10 +22,9 @@ use std::thread;
 use std::time::Duration;
 
 use crossbeam_channel::{unbounded, Receiver, Sender};
-use parmac_hash::BinaryCodes;
 
-use crate::backend::ZUpdate;
 use crate::envelope::SubmodelEnvelope;
+use crate::replica::ReplicaStore;
 use crate::waits;
 
 use super::frames::Frame;
@@ -47,28 +46,6 @@ struct RoundState {
     ring: Vec<usize>,
 }
 
-/// The worker's resident shard: the same replica structure the in-process
-/// server backend keeps, fed by `LoadShard` snapshots and `ApplyZ` streams.
-struct ShardReplica {
-    points: Vec<usize>,
-    row_of: HashMap<usize, usize>,
-    codes: BinaryCodes,
-    seq: u64,
-}
-
-impl ShardReplica {
-    fn apply(&mut self, update: &ZUpdate) {
-        match self.row_of.get(&update.point) {
-            Some(&row) => self.codes.set_code(row, &update.code),
-            None => {
-                self.row_of.insert(update.point, self.points.len());
-                self.points.push(update.point);
-                self.codes.push_code(&update.code);
-            }
-        }
-    }
-}
-
 struct WorkerCtx {
     machine: usize,
     dir: PathBuf,
@@ -82,7 +59,10 @@ struct WorkerCtx {
     /// predecessor can race the coordinator's step broadcast on a different
     /// connection. Replayed in arrival order when the round opens.
     stashed: Vec<(u64, u64, SubmodelEnvelope<()>)>,
-    replica: Option<ShardReplica>,
+    /// The resident shard: `LoadShard` snapshots and `ApplyZ` streams land
+    /// here (a freshly streamed-in worker starts empty and grows from its
+    /// first delta), `FetchShard` reads it back.
+    replica: ReplicaStore,
 }
 
 /// Runs the worker for `machine` against the fleet directory `dir` until the
@@ -148,7 +128,7 @@ pub fn run_machined(machine: usize, dir: &Path) -> i32 {
         dead: BTreeSet::new(),
         peers: HashMap::new(),
         stashed: Vec::new(),
-        replica: None,
+        replica: ReplicaStore::default(),
     };
     let code = worker_main_loop(&mut ctx);
     // Reader threads exit within a tick of the stop flag; the process exit
@@ -230,34 +210,11 @@ fn handle_frame(ctx: &mut WorkerCtx, frame: Frame) -> Option<i32> {
             submodel: _,
         } => {}
         Frame::LoadShard { points, codes, seq } => {
-            let newer = ctx.replica.as_ref().is_none_or(|r| seq > r.seq);
-            if newer {
-                let row_of = points.iter().enumerate().map(|(i, &p)| (p, i)).collect();
-                ctx.replica = Some(ShardReplica {
-                    points,
-                    row_of,
-                    codes,
-                    seq,
-                });
-            }
+            ctx.replica.load(points, codes, seq);
         }
         Frame::ApplyZ { round, updates } => {
-            // A freshly streamed-in worker has no snapshot yet; its first
-            // delta bootstraps an (initially empty) replica.
-            if ctx.replica.is_none() {
-                if let Some(first) = updates.first() {
-                    ctx.replica = Some(ShardReplica {
-                        points: Vec::new(),
-                        row_of: HashMap::new(),
-                        codes: BinaryCodes::zeros(0, first.code.len().max(1)),
-                        seq: 0,
-                    });
-                }
-            }
-            if let Some(replica) = ctx.replica.as_mut() {
-                for update in &updates {
-                    replica.apply(update);
-                }
+            for update in &updates {
+                ctx.replica.apply(update);
             }
             reply_coord(
                 ctx,
@@ -268,10 +225,7 @@ fn handle_frame(ctx: &mut WorkerCtx, frame: Frame) -> Option<i32> {
             );
         }
         Frame::FetchShard => {
-            let (points, codes, seq) = match &ctx.replica {
-                Some(replica) => (replica.points.clone(), replica.codes.clone(), replica.seq),
-                None => (Vec::new(), BinaryCodes::zeros(0, 1), 0),
-            };
+            let (points, codes, seq) = ctx.replica.snapshot();
             reply_coord(
                 ctx,
                 &Frame::ShardSnapshot {

@@ -1,7 +1,7 @@
 //! `parmac-lint`: a multi-pass workspace concurrency-invariant analyzer.
 //!
 //! `clippy` cannot see the invariants the serving substrate
-//! (`crates/parmac-cluster/src/server.rs`) rests on: detached actor threads
+//! (`crates/parmac-cluster/src/server/`) rests on: detached actor threads
 //! must never panic, every blocking wait must be deadline- or
 //! heartbeat-bounded, long-lived threads must come from the sanctioned named
 //! spawn sites, bitwise-deterministic training paths must not read wall

@@ -382,9 +382,8 @@ impl PrefixIndex {
     }
 
     /// [`topk_batched`](Self::topk_batched) over a contiguous sub-range of
-    /// the query batch — the unit of work a scan worker takes when a machine
-    /// splits a batch across cores. Concatenating the per-range outputs over
-    /// a partition of `0..queries.len()` equals the whole-batch call.
+    /// the query batch. Concatenating the per-range outputs over a partition
+    /// of `0..queries.len()` equals the whole-batch call.
     ///
     /// # Panics
     ///

@@ -282,10 +282,9 @@ pub fn shard_hamming_topk_batched(
     batched_topk(&mut RangeScanner::new(), &whole, queries, k)
 }
 
-/// Top-`k` over one contiguous row range of a shard: the unit of work of a
-/// per-machine scan worker. `global_ids` is the *whole* shard's id list
-/// (indexed by absolute row, like the shard itself); only rows in `rows` are
-/// scanned. Per-chunk lists over a partition of the shard's rows merge via
+/// Top-`k` over one contiguous row range of a shard. `global_ids` is the
+/// *whole* shard's id list (indexed by absolute row, like the shard itself);
+/// only rows in `rows` are scanned. Per-chunk lists over a partition of the shard's rows merge via
 /// [`merge_shard_topk_hits`] into exactly the shard's top-`k`.
 ///
 /// # Panics
